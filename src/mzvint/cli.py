@@ -3,7 +3,7 @@
 Machine output is compact JSON with a fixed key order, so identical
 invocations are byte-identical; ``--pretty`` switches the sum-valued
 commands to a human-readable rendering. Exit codes: 0 on success, 1 when
-any verification check fails, 2 on usage errors.
+any verification check fails or on an internal error, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .indices import (
 from .reduction import pi_plus
 from .relations import dsr_relation, relation_json_line
 from .series import verify_reduction, verify_shuffle, verify_stuffle, zeta_real_approx
-from .shuffle import ShuffleRecursionError, shuffle
+from .shuffle import shuffle
 from .stuffle import stuffle
 
 __all__ = ["IndexSyntaxError", "parse_index", "main"]
@@ -229,9 +229,12 @@ def _run_cases(cases: list, jobs: int) -> Iterable[tuple[bool, str]]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.cases < 0:
+        raise ValueError(f"--cases must be >= 0, got {args.cases}")
     suites = SUITES if args.suite == "all" else (args.suite,)
-    series_order = args.order if args.order is not None else DEFAULT_SERIES_ORDER
-    harmonic_order = args.order if args.order is not None else DEFAULT_HARMONIC_ORDER
+    order = args.order if args.order is not None else _default_order()
+    series_order = order if order is not None else DEFAULT_SERIES_ORDER
+    harmonic_order = order if order is not None else DEFAULT_HARMONIC_ORDER
     any_failed = False
     for suite in suites:
         cases = _generate_cases(suite, args.seed, args.cases, series_order, harmonic_order)
@@ -309,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--order",
         type=int,
-        default=_default_order(),
+        default=None,
         help=f"truncation order for series/harmonic checks "
         f"(defaults: {DEFAULT_SERIES_ORDER} series, {DEFAULT_HARMONIC_ORDER} harmonic; "
         f"also settable via {ENV_ORDER})",
@@ -333,7 +336,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (IndexSyntaxError, AdmissibilityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ShuffleRecursionError as exc:
+    except RuntimeError as exc:
+        # a broken invariant (e.g. ShuffleRecursionError): report it, no traceback
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,10 +5,22 @@ For an index (k_1, ..., k_r) the attached power series has coefficients
     c_n = sum over 0 < n_1 < ... < n_r = n of prod n_i^{-k_i}
 
 and the truncated harmonic sum relaxes n_r = n to n_r <= N. Both are
-computed by exact prefix-sum dynamic programming over Fractions in
-O(depth * N) operations, so they provide brute-force ground truth for the
-reduction map and both products without sharing any code with them.
-Floating point enters only in :func:`zeta_real_approx`.
+computed by prefix-sum dynamic programming in O(depth * N) operations, so
+they provide brute-force ground truth for the reduction map and both
+products without sharing any code with them.
+
+The dynamic programs run on Python integers only. With L = lcm(1..N) and
+P(k) the sum of the positive entries of k, every n <= N divides L, so
+n^{-k_i} = (L/n)^{k_i} / L^{k_i} for k_i > 0 and c_n(k) * L^{P(k)} and
+H_N(k) * L^{P(k)} are integers; each stage multiplies by the integer
+(L/n)^{k_i} or n^{-k_i} and takes no gcd. A linear combination with
+rational coefficients is held as one integer vector v over one denominator
+D = Q * L^E, where Q is the lcm of the coefficients' denominators and E the
+largest P of its indices. Two exact rationals a/A and b/B are equal exactly
+when the integers a*B and b*A are, so every verdict is a certificate, not a
+screen: no modular reduction and no rounding enters it. The public values
+are converted to Fractions once, at the end. Floating point enters only in
+:func:`zeta_real_approx`.
 """
 
 from __future__ import annotations
@@ -17,6 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from .indices import Index, IndexClass, IndexSum, AdmissibilityError, classify, m_index
 from .reduction import pi_plus
@@ -36,14 +49,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _power(n: int, exponent: int) -> Fraction:
-    """n^exponent as an exact rational, any integer exponent."""
-    if exponent >= 0:
-        return Fraction(n**exponent)
-    return Fraction(1, n ** (-exponent))
 
 
 @dataclass(frozen=True)
@@ -76,55 +81,87 @@ class SeriesPoly:
     def __mul__(self, other: "SeriesPoly") -> "SeriesPoly":
         """Product truncated at the common order."""
         self._check(other)
-        n = self.order
-        out = [_ZERO] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs[: n + 1 - i]):
-                if b:
-                    out[i + j] += a * b
-        return SeriesPoly(tuple(out))
+        return SeriesPoly(tuple(_truncated_product(self.coeffs, other.coeffs, _ZERO)))
 
     def scaled(self, factor: Fraction | int) -> "SeriesPoly":
         c = Fraction(factor)
         return SeriesPoly(tuple(c * a for a in self.coeffs))
 
 
+def _truncated_product(a, b, zero):
+    """Coefficients of the product of two series of one order, truncated
+    at that order; ``zero`` sets the coefficient type."""
+    out = [zero] * len(a)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b[: len(a) - i]):
+            if y:
+                out[i + j] += x * y
+    return out
+
+
+def _check_order(order: int, what: str = "truncation order") -> None:
+    if order < 1:
+        raise ValueError(f"{what} must be >= 1, got {order}")
+
+
+def _lcm_upto(n: int) -> int:
+    return math.lcm(*range(1, n + 1))
+
+
+def _positive_weight(k: Index) -> int:
+    """P(k): the exponent of L in the scale of k's series and harmonic sum."""
+    return sum(e for e in k if e > 0)
+
+
+def _stage_factors(entry: int, L: int, bound: int) -> list[int]:
+    """n^{-entry} * L^{max(entry, 0)} for n = 0..bound (n = 0 unused)."""
+    if entry > 0:
+        return [0] + [(L // n) ** entry for n in range(1, bound + 1)]
+    return [0] + [n ** (-entry) for n in range(1, bound + 1)]
+
+
 @lru_cache(maxsize=None)
-def _mpl_cached(k: Index, order: int) -> SeriesPoly:
+def _mpl_cached(k: Index, order: int) -> tuple[int, ...]:
     # cur[n] after processing t entries = coefficient of the depth-t prefix
-    # series at z^n; the depth-0 series is the constant 1.
-    cur = [_ZERO] * (order + 1)
-    cur[0] = _ONE
+    # series at z^n times L^P(prefix); the depth-0 series is the constant 1.
+    L = _lcm_upto(order)
+    cur = [0] * (order + 1)
+    cur[0] = 1
     for entry in k:
-        nxt = [_ZERO] * (order + 1)
-        prefix = _ZERO
+        factors = _stage_factors(entry, L, order)
+        nxt = [0] * (order + 1)
+        prefix = 0
         for n in range(1, order + 1):
             prefix += cur[n - 1]
             if prefix:
-                nxt[n] = prefix * _power(n, -entry)
+                nxt[n] = prefix * factors[n]
         cur = nxt
-    return SeriesPoly(tuple(cur))
+    return tuple(cur)
 
 
 def mpl_coefficients(k: Index, order: int) -> SeriesPoly:
     """Exact coefficients c_0..c_order of the series attached to ``k``."""
-    if order < 1:
-        raise ValueError(f"truncation order must be >= 1, got {order}")
-    return _mpl_cached(tuple(k), order)
+    _check_order(order)
+    k = tuple(k)
+    scale = _lcm_upto(order) ** _positive_weight(k)
+    return SeriesPoly(tuple(Fraction(c, scale) for c in _mpl_cached(k, order)))
 
 
 @lru_cache(maxsize=None)
-def _harmonic_cached(k: Index, bound: int) -> Fraction:
+def _harmonic_cached(k: Index, bound: int) -> int:
     # cur[n] after processing t entries = truncated sum of the depth-t prefix
-    # with all summation variables <= n; the empty product contributes 1.
-    cur = [_ONE] * (bound + 1)
+    # with all summation variables <= n, times L^P(prefix); the empty
+    # product contributes 1.
+    L = _lcm_upto(bound)
+    cur = [1] * (bound + 1)
     for entry in k:
-        nxt = [_ZERO] * (bound + 1)
-        running = _ZERO
+        factors = _stage_factors(entry, L, bound)
+        nxt = [0] * (bound + 1)
+        running = 0
         for n in range(1, bound + 1):
-            running += _power(n, -entry) * cur[n - 1]
+            running += factors[n] * cur[n - 1]
             nxt[n] = running
         cur = nxt
     return cur[bound]
@@ -132,9 +169,9 @@ def _harmonic_cached(k: Index, bound: int) -> Fraction:
 
 def harmonic_sum(k: Index, bound: int) -> Fraction:
     """Exact nested sum over 0 < n_1 < ... < n_r <= bound of prod n_i^{-k_i}."""
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
-    return _harmonic_cached(tuple(k), bound)
+    _check_order(bound, "bound")
+    k = tuple(k)
+    return Fraction(_harmonic_cached(k, bound), _lcm_upto(bound) ** _positive_weight(k))
 
 
 @dataclass(frozen=True)
@@ -149,56 +186,83 @@ class Report:
         return {"pass": self.passed, "first_mismatch": self.first_mismatch, "order": self.order}
 
 
-def _compare(lhs: SeriesPoly, rhs: SeriesPoly) -> Report:
-    for n, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
-        if a != b:
-            return Report(False, n, lhs.order)
-    return Report(True, None, lhs.order)
+def _integer_weights(combo: IndexSum, L: int) -> tuple[list[tuple[Index, int]], int]:
+    """Integers w and D with sum of coeff * value(index) over ``combo`` equal
+    to sum of w * value(index) * L^P(index) over the returned pairs, divided
+    by D. With Q the lcm of the coefficients' denominators and E the largest
+    P(index), D = Q * L^E."""
+    terms = [(index, coeff, _positive_weight(index)) for index, coeff in combo]
+    Q = math.lcm(*(coeff.denominator for _, coeff, _ in terms))
+    E = max((p for _, _, p in terms), default=0)
+    weights = [
+        (index, coeff.numerator * (Q // coeff.denominator) * L ** (E - p)) for index, coeff, p in terms
+    ]
+    return weights, Q * L**E
+
+
+def _series_combination(combo: IndexSum, order: int, L: int) -> tuple[list[int], int]:
+    """Integers v_0..v_order and D with v_n / D the coefficient of z^n in the
+    series of ``combo``."""
+    weights, den = _integer_weights(combo, L)
+    out = [0] * (order + 1)
+    for index, weight in weights:
+        for n, s in enumerate(_mpl_cached(index, order)):
+            if s:
+                out[n] += weight * s
+    return out, den
+
+
+def _compare(
+    lhs: Sequence[int], lhs_den: int, rhs: Sequence[int], rhs_den: int, order: int
+) -> Report:
+    """Coefficientwise comparison of lhs / lhs_den with rhs / rhs_den."""
+    for n, (a, b) in enumerate(zip(lhs, rhs)):
+        if a * rhs_den != b * lhs_den:
+            return Report(False, n, order)
+    return Report(True, None, order)
 
 
 def combination_series(combo: IndexSum, order: int) -> SeriesPoly:
     """Series attached to a linear combination of indices, truncated at
     the given order."""
-    if order < 1:
-        raise ValueError(f"truncation order must be >= 1, got {order}")
-    out = [_ZERO] * (order + 1)
-    for index, coeff in combo:
-        for n, c in enumerate(_mpl_cached(index, order).coeffs):
-            if c:
-                out[n] += coeff * c
-    return SeriesPoly(tuple(out))
+    _check_order(order)
+    vec, den = _series_combination(combo, order, _lcm_upto(order))
+    return SeriesPoly(tuple(Fraction(v, den) for v in vec))
 
 
 def verify_reduction(k: Index, order: int) -> Report:
     """Check that the positive reduction of ``k`` reproduces its series
     coefficients exactly up to the given order."""
+    _check_order(order)
     k = tuple(k)
-    lhs = mpl_coefficients(k, order)
-    rhs = combination_series(pi_plus(k), order)
-    return _compare(lhs, rhs)
+    L = _lcm_upto(order)
+    lhs = _mpl_cached(k, order)
+    rhs, rhs_den = _series_combination(pi_plus(k), order, L)
+    return _compare(lhs, L ** _positive_weight(k), rhs, rhs_den, order)
 
 
 def verify_shuffle(k: Index, k2: Index, order: int) -> Report:
     """Check the series-product identity for the shuffle expansion of a pair."""
-    if order < 1:
-        raise ValueError(f"truncation order must be >= 1, got {order}")
+    _check_order(order)
     k, k2 = tuple(k), tuple(k2)
-    lhs = mpl_coefficients(k, order) * mpl_coefficients(k2, order)
-    rhs = combination_series(shuffle(k, k2), order)
-    return _compare(lhs, rhs)
+    L = _lcm_upto(order)
+    lhs = _truncated_product(_mpl_cached(k, order), _mpl_cached(k2, order), 0)
+    lhs_den = L ** (_positive_weight(k) + _positive_weight(k2))
+    rhs, rhs_den = _series_combination(shuffle(k, k2), order, L)
+    return _compare(lhs, lhs_den, rhs, rhs_den, order)
 
 
 def verify_stuffle(k: Index, k2: Index, bound: int) -> Report:
     """Check the truncated-harmonic-product identity for the stuffle
     expansion of a pair; this is an exact rational identity for every bound."""
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
+    _check_order(bound, "bound")
     k, k2 = tuple(k), tuple(k2)
-    lhs = harmonic_sum(k, bound) * harmonic_sum(k2, bound)
-    rhs = _ZERO
-    for index, coeff in stuffle(k, k2):
-        rhs += coeff * _harmonic_cached(index, bound)
-    if lhs == rhs:
+    L = _lcm_upto(bound)
+    lhs = _harmonic_cached(k, bound) * _harmonic_cached(k2, bound)
+    lhs_den = L ** (_positive_weight(k) + _positive_weight(k2))
+    weights, rhs_den = _integer_weights(stuffle(k, k2), L)
+    rhs = sum(weight * _harmonic_cached(index, bound) for index, weight in weights)
+    if lhs * rhs_den == rhs * lhs_den:
         return Report(True, None, bound)
     return Report(False, bound, bound)
 

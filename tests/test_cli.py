@@ -208,7 +208,42 @@ def test_env_var_sets_default_order(monkeypatch, capsys):
 
 def test_env_var_rejects_garbage(monkeypatch, capsys):
     monkeypatch.setenv("MZVINT_ORDER", "sixty")
-    from mzvint.cli import build_parser
+    code, out, err = run_cli(capsys, "verify", "--suite", "reduction", "--cases", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: MZVINT_ORDER must be an integer, got 'sixty'\n"
+    monkeypatch.setenv("MZVINT_ORDER", "0")
+    code, _, err = run_cli(capsys, "verify", "--suite", "reduction", "--cases", "1")
+    assert code == 2
+    assert err == "error: MZVINT_ORDER must be >= 1, got 0\n"
 
-    with pytest.raises(ValueError):
-        build_parser()
+
+def test_env_var_read_only_by_verify(monkeypatch, capsys):
+    monkeypatch.setenv("MZVINT_ORDER", "abc")
+    code, out, err = run_cli(capsys, "m-index", "(1)")
+    assert code == 0 and err == ""
+    assert json.loads(out)["m"] == 0
+    # an explicit --order wins, so the variable is never parsed
+    code, out, _ = run_cli(capsys, "verify", "--suite", "reduction", "--cases", "2", "--order", "8")
+    assert code == 0
+    assert out.strip() == "reduction: 2/2 pass"
+
+
+def test_verify_rejects_negative_cases(capsys):
+    code, out, err = run_cli(capsys, "verify", "--cases", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --cases must be >= 0, got -1\n"
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    import mzvint.relations as relations
+    from mzvint.indices import IndexSum
+
+    # a product that breaks the closure guarantee: (1) is positive but not admissible
+    monkeypatch.setattr(relations, "stuffle", lambda k, k2: IndexSum.single((1,)))
+    code, out, err = run_cli(capsys, "relation", "(2)", "(3)")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal error: stuffle expansion contains")
+    assert err.count("\n") == 1

@@ -9,9 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from mzvint.indices import AdmissibilityError
+import mzvint.series as series
+from mzvint.indices import AdmissibilityError, IndexSum
+from mzvint.reduction import pi_plus
 from mzvint.series import (
     SeriesPoly,
+    combination_series,
     harmonic_sum,
     mpl_coefficients,
     verify_reduction,
@@ -19,6 +22,8 @@ from mzvint.series import (
     verify_stuffle,
     zeta_real_approx,
 )
+from mzvint.shuffle import shuffle
+from mzvint.stuffle import stuffle
 
 ZETA_2 = math.pi**2 / 6
 ZETA_3 = 1.2020569031595942854
@@ -212,3 +217,148 @@ def test_zeta_real_rejects_non_admissible():
         zeta_real_approx((0, 1), 100)
     with pytest.raises(ValueError):
         zeta_real_approx((2,), 0)
+
+
+# ---------------------------------------------------------------------------
+# The integer oracle against the Fraction dynamic programs it replaced, at the
+# verify defaults (series order 60, harmonic bound 50).
+
+SERIES_ORDER = 60
+HARMONIC_BOUND = 50
+
+# large P (positive entries up to 6 at depth 3), negative entries, mixed
+REFERENCE_INDICES = [
+    (),
+    (1,),
+    (6,),
+    (-5,),
+    (6, 6, 6),
+    (5, 6, 4),
+    (1, 1, 6),
+    (-3, -3, -3),
+    (-2, 6, -1),
+    (6, -4, 5),
+    (0, 0, 6),
+    (3, 0, -3),
+]
+
+
+def reference_mpl(k: tuple[int, ...], order: int) -> list[Fraction]:
+    cur = [Fraction(0)] * (order + 1)
+    cur[0] = Fraction(1)
+    for entry in k:
+        nxt = [Fraction(0)] * (order + 1)
+        prefix = Fraction(0)
+        for n in range(1, order + 1):
+            prefix += cur[n - 1]
+            if prefix:
+                nxt[n] = prefix * _rational_power(n, entry)
+        cur = nxt
+    return cur
+
+
+def reference_harmonic(k: tuple[int, ...], bound: int) -> Fraction:
+    cur = [Fraction(1)] * (bound + 1)
+    for entry in k:
+        nxt = [Fraction(0)] * (bound + 1)
+        running = Fraction(0)
+        for n in range(1, bound + 1):
+            running += _rational_power(n, entry) * cur[n - 1]
+            nxt[n] = running
+        cur = nxt
+    return cur[bound]
+
+
+def reference_combination(combo: IndexSum, order: int) -> list[Fraction]:
+    out = [Fraction(0)] * (order + 1)
+    for index, coeff in combo:
+        for n, c in enumerate(reference_mpl(index, order)):
+            out[n] += coeff * c
+    return out
+
+
+def reference_first_mismatch(lhs: list[Fraction], rhs: list[Fraction]) -> int | None:
+    return next((n for n, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
+
+
+def reference_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    order = len(a) - 1
+    return [sum((a[i] * b[n - i] for i in range(n + 1)), Fraction(0)) for n in range(order + 1)]
+
+
+def _rng_pairs(seed: int, count: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    rng = random.Random(seed)
+
+    def draw() -> tuple[int, ...]:
+        return tuple(rng.randint(-3, 4) for _ in range(rng.randint(1, 2)))
+
+    return [(draw(), draw()) for _ in range(count)]
+
+
+@pytest.mark.parametrize("k", REFERENCE_INDICES)
+def test_mpl_and_harmonic_match_fraction_reference(k):
+    assert list(mpl_coefficients(k, SERIES_ORDER).coeffs) == reference_mpl(k, SERIES_ORDER)
+    assert harmonic_sum(k, HARMONIC_BOUND) == reference_harmonic(k, HARMONIC_BOUND)
+
+
+@pytest.mark.parametrize("k", [k for k in REFERENCE_INDICES if k])
+def test_combination_series_matches_fraction_reference(k):
+    combos = [
+        pi_plus(k),
+        shuffle(k, (-1, 2)),
+        stuffle(k, (2, -1)),
+        IndexSum({k: Fraction(-7, 12), (2, 3): Fraction(5, 8)}),
+    ]
+    for combo in combos:
+        got = combination_series(combo, SERIES_ORDER).coeffs
+        assert list(got) == reference_combination(combo, SERIES_ORDER)
+
+
+def _drop_term(position: int):
+    def drop(expansion: IndexSum) -> IndexSum:
+        terms = expansion.terms()
+        del terms[position]
+        return IndexSum(terms)
+
+    return drop
+
+
+@pytest.mark.parametrize("position", [0, -1])
+def test_dropped_term_fails_reduction_like_fraction_reference(monkeypatch, position):
+    drop = _drop_term(position)
+    monkeypatch.setattr(series, "pi_plus", lambda k: drop(pi_plus(k)))
+    for k in [(6, -4, 5), (-2, 6, -1), (3, 0, -3), (0, 0, 6), (-3, -3, -3)]:
+        report = verify_reduction(k, SERIES_ORDER)
+        expected = reference_first_mismatch(
+            reference_mpl(k, SERIES_ORDER), reference_combination(drop(pi_plus(k)), SERIES_ORDER)
+        )
+        assert expected is not None
+        assert (report.passed, report.first_mismatch) == (False, expected), k
+
+
+@pytest.mark.parametrize("position", [0, -1])
+def test_dropped_term_fails_shuffle_like_fraction_reference(monkeypatch, position):
+    drop = _drop_term(position)
+    monkeypatch.setattr(series, "shuffle", lambda k, k2: drop(shuffle(k, k2)))
+    for k, k2 in _rng_pairs(71, 6):
+        report = verify_shuffle(k, k2, SERIES_ORDER)
+        lhs = reference_product(reference_mpl(k, SERIES_ORDER), reference_mpl(k2, SERIES_ORDER))
+        rhs = reference_combination(drop(shuffle(k, k2)), SERIES_ORDER)
+        expected = reference_first_mismatch(lhs, rhs)
+        assert expected is not None
+        assert (report.passed, report.first_mismatch) == (False, expected), (k, k2)
+
+
+@pytest.mark.parametrize("position", [0, -1])
+def test_dropped_term_fails_stuffle_like_fraction_reference(monkeypatch, position):
+    drop = _drop_term(position)
+    monkeypatch.setattr(series, "stuffle", lambda k, k2: drop(stuffle(k, k2)))
+    for k, k2 in _rng_pairs(73, 6) + [((6, 6, 6), (5, -3, 6))]:
+        report = verify_stuffle(k, k2, HARMONIC_BOUND)
+        lhs = reference_harmonic(k, HARMONIC_BOUND) * reference_harmonic(k2, HARMONIC_BOUND)
+        rhs = sum(
+            (c * reference_harmonic(i, HARMONIC_BOUND) for i, c in drop(stuffle(k, k2))),
+            Fraction(0),
+        )
+        assert lhs != rhs
+        assert (report.passed, report.first_mismatch) == (False, HARMONIC_BOUND), (k, k2)
