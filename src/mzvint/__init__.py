@@ -6,6 +6,14 @@ expansion, implements the extended shuffle and stuffle products, and emits
 certified linear relations among positive admissible zeta values. Every
 symbolic computation is exact rational arithmetic; independent truncated
 series and harmonic-sum oracles verify the identities coefficientwise.
+
+The names exported here are the whole public surface: the index core and
+its sparse Q-linear combinations (``IndexSum``), the positive reduction,
+the two products, the relations and the oracles that certify them, and the
+Bernoulli numbers and rational text forms they rest on. The word encoding
+behind the shuffle product (``mzvint.words``), the shared checks
+(``mzvint.relations``) and the command line (``mzvint.cli``) stay in their
+modules.
 """
 
 from .indices import (
@@ -27,15 +35,7 @@ from .indices import (
     tail_index,
     weight,
 )
-from .rationals import (
-    FaulhaberPolynomial,
-    Rational,
-    bernoulli,
-    binomial,
-    faulhaber_coefficients,
-    format_rational,
-    parse_rational,
-)
+from .rationals import bernoulli, binomial, format_rational, parse_rational
 from .reduction import pi_plus, reduce_step
 from .relations import (
     NumericReport,
@@ -57,42 +57,22 @@ from .series import (
     verify_stuffle,
     zeta_real_approx,
 )
-from .shuffle import ShuffleRecursionError, shuffle, shuffle_words
+from .shuffle import shuffle
 from .stuffle import stuffle
-from .words import (
-    EMPTY_WORD,
-    Word,
-    WordSum,
-    index_from_word,
-    is_wy,
-    normalize,
-    prepend,
-    prepend_letter,
-    word_from_index,
-    word_from_text,
-    word_to_text,
-)
-from .words import length as word_length
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityError",
     "EMPTY_INDEX",
-    "EMPTY_WORD",
-    "FaulhaberPolynomial",
     "INFINITY",
     "Index",
     "IndexClass",
     "IndexSum",
     "NumericReport",
-    "Rational",
     "Relation",
     "Report",
     "SeriesPoly",
-    "ShuffleRecursionError",
-    "Word",
-    "WordSum",
     "as_index_sum",
     "bernoulli",
     "binomial",
@@ -101,27 +81,20 @@ __all__ = [
     "concat",
     "depth",
     "dsr_relation",
-    "faulhaber_coefficients",
     "format_index",
     "format_rational",
     "harmonic_sum",
-    "index_from_word",
     "is_admissible",
     "is_regularizable",
-    "is_wy",
     "m_index",
     "m_of_sum",
     "mpl_coefficients",
-    "normalize",
     "parse_rational",
     "pi_plus",
-    "prepend",
-    "prepend_letter",
     "reduce_step",
     "relation_json_dict",
     "relation_json_line",
     "shuffle",
-    "shuffle_words",
     "stuffle",
     "tail_index",
     "verify_reduction",
@@ -129,10 +102,6 @@ __all__ = [
     "verify_shuffle",
     "verify_stuffle",
     "weight",
-    "word_from_index",
-    "word_from_text",
-    "word_length",
-    "word_to_text",
     "zeta_expand",
     "zeta_real_approx",
 ]

@@ -9,6 +9,7 @@ any verification check fails or on an internal error, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -24,10 +25,9 @@ from .indices import (
     classify,
     format_index,
     m_index,
-    m_of_sum,
 )
 from .reduction import pi_plus
-from .relations import dsr_relation, relation_json_line
+from .relations import dsr_relation, is_homomorphic, min_formula_holds, relation_json_line
 from .series import verify_reduction, verify_shuffle, verify_stuffle, zeta_real_approx
 from .shuffle import shuffle
 from .stuffle import stuffle
@@ -37,6 +37,8 @@ __all__ = ["IndexSyntaxError", "parse_index", "main"]
 ENV_ORDER = "MZVINT_ORDER"
 DEFAULT_SERIES_ORDER = 60
 DEFAULT_HARMONIC_ORDER = 50
+# eval keeps two float lists of --terms + 1 entries (about 75 MB at this bound)
+MAX_EVAL_TERMS = 1_000_000
 SUITES = ("reduction", "shuffle", "stuffle", "homomorphism", "m-formula")
 
 
@@ -117,8 +119,7 @@ def _cmd_pi_plus(args: argparse.Namespace) -> int:
 
 
 def _cmd_shuffle(args: argparse.Namespace) -> int:
-    result = shuffle(parse_index(args.left), parse_index(args.right), max_depth=args.max_depth)
-    _print_sum(result, args.pretty)
+    _print_sum(shuffle(parse_index(args.left), parse_index(args.right)), args.pretty)
     return 0
 
 
@@ -130,21 +131,28 @@ def _cmd_stuffle(args: argparse.Namespace) -> int:
 def _cmd_relation(args: argparse.Namespace) -> int:
     rel = dsr_relation(parse_index(args.left), parse_index(args.right))
     line = relation_json_line(rel)
-    if args.pretty:
-        print(f"pair: {format_index(rel.pair[0])} {format_index(rel.pair[1])}")
-        print(f"shuffle:    {rel.shuffle_expansion.pretty()}")
-        print(f"stuffle:    {rel.stuffle_expansion.pretty()}")
-        print(f"difference: {rel.difference.pretty()}")
-    else:
-        print(line)
-    if args.out:
-        with open(args.out, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+    # open before printing, so a bad path fails the command with no output
+    try:
+        out = open(args.out, "a", encoding="utf-8") if args.out else contextlib.nullcontext()
+    except OSError as exc:
+        raise ValueError(f"cannot open --out file {args.out!r}: {exc.strerror}") from None
+    with out:
+        if args.pretty:
+            print(f"pair: {format_index(rel.pair[0])} {format_index(rel.pair[1])}")
+            print(f"shuffle:    {rel.shuffle_expansion.pretty()}")
+            print(f"stuffle:    {rel.stuffle_expansion.pretty()}")
+            print(f"difference: {rel.difference.pretty()}")
+        else:
+            print(line)
+        if args.out:
+            out.write(line + "\n")
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     k = parse_index(args.index)
+    if args.terms > MAX_EVAL_TERMS:
+        raise ValueError(f"--terms must be <= {MAX_EVAL_TERMS}, got {args.terms}")
     value, hint = zeta_real_approx(k, args.terms)
     print(_dumps({"index": list(k), "terms": args.terms, "value": value, "error_hint": hint}))
     return 0
@@ -185,10 +193,6 @@ def _generate_cases(suite: str, seed: int, cases: int, series_order: int, harmon
     return out
 
 
-def _min_formula(m1: int | float, m2: int | float) -> int | float:
-    return min(m1, m2, m1 + m2)
-
-
 def _run_case(case: tuple) -> tuple[bool, str]:
     kind = case[0]
     if kind == "reduction":
@@ -205,17 +209,11 @@ def _run_case(case: tuple) -> tuple[bool, str]:
         return ok, f"stuffle {format_index(k)} {format_index(k2)} order={order}"
     if kind == "m-formula":
         _, k, k2 = case
-        expected = _min_formula(m_index(k), m_index(k2))
-        ok = (
-            m_of_sum(shuffle(k, k2)) == expected
-            and m_of_sum(stuffle(k, k2)) == expected
-        )
+        ok = all(min_formula_holds(product, k, k2) for product in (shuffle, stuffle))
         return ok, f"m-formula {format_index(k)} {format_index(k2)}"
     if kind == "homomorphism":
         _, k, k2 = case
-        ok = pi_plus(shuffle(k, k2)) == pi_plus(shuffle(pi_plus(k), pi_plus(k2))) and pi_plus(
-            stuffle(k, k2)
-        ) == pi_plus(stuffle(pi_plus(k), pi_plus(k2)))
+        ok = all(is_homomorphic(product, k, k2) for product in (shuffle, stuffle))
         return ok, f"homomorphism {format_index(k)} {format_index(k2)}"
     raise ValueError(f"unknown case kind {kind!r}")
 
@@ -289,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--pretty", action="store_true")
-    p.add_argument("--max-depth", type=int, default=None, help="recursion guard override")
     p.set_defaults(func=_cmd_shuffle)
 
     p = sub.add_parser("stuffle", help="stuffle product of two indices")
@@ -322,7 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="floating-point estimate of an admissible zeta value")
     p.add_argument("index")
-    p.add_argument("--terms", type=int, default=10000, help="partial-sum bound")
+    p.add_argument(
+        "--terms", type=int, default=10000, help=f"partial-sum bound, at most {MAX_EVAL_TERMS}"
+    )
     p.set_defaults(func=_cmd_eval)
 
     return parser
@@ -337,7 +336,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
-        # a broken invariant (e.g. ShuffleRecursionError): report it, no traceback
+        # a broken invariant (e.g. RecursionError): report it, no traceback
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Union
 
 from .rationals import format_rational, parse_rational
 
@@ -31,6 +31,8 @@ __all__ = [
     "concat",
     "format_index",
     "IndexSum",
+    "add_term",
+    "bilinear",
     "m_of_sum",
     "as_index_sum",
 ]
@@ -124,6 +126,22 @@ def _canonical_key(k: Index) -> tuple[int, Index]:
 TermsLike = Union[Mapping[Index, Fraction], Iterable[tuple[Index, Fraction]]]
 
 
+def add_term(data: dict, key: Hashable, coeff) -> None:
+    """Add a nonzero ``coeff`` to the coefficient of ``key`` in ``data``, in
+    place, dropping the key when its coefficient becomes zero, so the keys
+    of ``data`` stay its support. This is the one accumulation step of every
+    sparse combination in the package."""
+    acc = data.get(key)
+    if acc is None:
+        data[key] = coeff
+    else:
+        acc += coeff
+        if acc:
+            data[key] = acc
+        else:
+            del data[key]
+
+
 class IndexSum:
     """A finite formal Q-linear combination of indices.
 
@@ -138,19 +156,9 @@ class IndexSum:
         data: dict[Index, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for index, coeff in items:
-            index = tuple(index)
             coeff = Fraction(coeff)
-            if not coeff:
-                continue
-            acc = data.get(index)
-            if acc is None:
-                data[index] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    data[index] = acc
-                else:
-                    del data[index]
+            if coeff:
+                add_term(data, tuple(index), coeff)
         self._terms = data
 
     @classmethod
@@ -179,7 +187,8 @@ class IndexSum:
         return self._terms.get(tuple(index), Fraction(0))
 
     def __iter__(self) -> Iterator[tuple[Index, Fraction]]:
-        return iter(self.terms())
+        """Terms in storage order; use :meth:`terms` for the canonical order."""
+        return iter(self._terms.items())
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -200,23 +209,11 @@ class IndexSum:
             return NotImplemented
         out = dict(self._terms)
         for index, coeff in other._terms.items():
-            acc = out.get(index)
-            if acc is None:
-                out[index] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    out[index] = acc
-                else:
-                    del out[index]
-        result = IndexSum.zero()
-        result._terms = out
-        return result
+            add_term(out, index, coeff)
+        return IndexSum._from_clean(out)
 
     def __neg__(self) -> "IndexSum":
-        result = IndexSum.zero()
-        result._terms = {index: -coeff for index, coeff in self._terms.items()}
-        return result
+        return IndexSum._from_clean({index: -coeff for index, coeff in self._terms.items()})
 
     def __sub__(self, other: "IndexSum") -> "IndexSum":
         if not isinstance(other, IndexSum):
@@ -229,9 +226,7 @@ class IndexSum:
         c = Fraction(scalar)
         if not c:
             return IndexSum.zero()
-        result = IndexSum.zero()
-        result._terms = {index: coeff * c for index, coeff in self._terms.items()}
-        return result
+        return IndexSum._from_clean({index: coeff * c for index, coeff in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -271,12 +266,7 @@ class IndexSum:
 def m_of_sum(s: IndexSum) -> int | float:
     """Minimum of the regularizability index over the support; infinity for
     the zero sum (empty minimum, matching the empty index convention)."""
-    best: int | float = INFINITY
-    for index in s.support():
-        m = m_index(index)
-        if m < best:
-            best = m
-    return best
+    return min((m_index(index) for index in s._terms), default=INFINITY)
 
 
 IndexSumLike = Union[IndexSum, Index]
@@ -287,3 +277,21 @@ def as_index_sum(value: IndexSumLike) -> IndexSum:
     if isinstance(value, IndexSum):
         return value
     return IndexSum.single(tuple(value))
+
+
+PairTerms = Callable[[Index, Index], Iterable[tuple[Index, int]]]
+
+
+def bilinear(a: IndexSumLike, b: IndexSumLike, pair_terms: PairTerms) -> IndexSum:
+    """The bilinear extension of a product rule on pairs of indices:
+    sum over the terms ca*k of ``a`` and cb*k2 of ``b`` of
+    ca*cb*``pair_terms(k, k2)``, where ``pair_terms`` yields (index, integer
+    coefficient) pairs."""
+    acc: dict[Index, Fraction] = {}
+    right = as_index_sum(b)._terms.items()
+    for k, ca in as_index_sum(a)._terms.items():
+        for k2, cb in right:
+            scale = ca * cb
+            for index, coeff in pair_terms(k, k2):
+                add_term(acc, index, scale * coeff)
+    return IndexSum._from_clean(acc)

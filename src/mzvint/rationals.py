@@ -1,4 +1,4 @@
-"""Exact rational helpers: Bernoulli numbers, binomials, power-sum polynomials.
+"""Exact rational helpers: Bernoulli numbers, binomials, rational text forms.
 
 Every value produced here is a :class:`fractions.Fraction` (arbitrary
 precision, normalized to lowest terms with positive denominator). Nothing in
@@ -8,31 +8,14 @@ that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Literal
 
-__all__ = [
-    "Rational",
-    "Sign",
-    "Bound",
-    "bernoulli",
-    "binomial",
-    "FaulhaberPolynomial",
-    "faulhaber_coefficients",
-    "format_rational",
-    "parse_rational",
-]
-
-# Exact rationals throughout the package. Fraction already guarantees the
-# invariants we need (lowest terms, positive denominator), so it *is* the
-# rational type rather than a wrapper around one.
-Rational = Fraction
+__all__ = ["Sign", "bernoulli", "binomial", "format_rational", "parse_rational"]
 
 Sign = Literal["plus", "minus"]
-Bound = Literal["inclusive", "exclusive"]
 
 
 @lru_cache(maxsize=None)
@@ -77,49 +60,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return comb(n, k)
-
-
-@dataclass(frozen=True)
-class FaulhaberPolynomial:
-    """A power sum written as an exact polynomial in its upper limit m.
-
-    ``pairs`` holds (power, coefficient) entries with positive powers in
-    descending order and zero coefficients pruned; ``constant`` is the
-    degree-0 correction (only nonzero for the exclusive sum of k = 0).
-    """
-
-    pairs: tuple[tuple[int, Fraction], ...]
-    constant: Fraction
-
-    def evaluate(self, m: int) -> Fraction:
-        acc = self.constant
-        for power, coeff in self.pairs:
-            acc += coeff * Fraction(m) ** power
-        return acc
-
-
-def faulhaber_coefficients(k: int, bound: Bound) -> FaulhaberPolynomial:
-    """Closed form of sum_{n=1}^{m} n^k (``bound="inclusive"``) or
-    sum_{n=1}^{m-1} n^k (``bound="exclusive"``) as a polynomial in m.
-
-    The inclusive form uses the plus Bernoulli family, the exclusive form
-    the minus family together with a -1 constant correction when k = 0.
-    The polynomial has degree k + 1 and no constant term apart from that
-    correction.
-    """
-    if k < 0:
-        raise ValueError(f"power must be non-negative, got {k}")
-    if bound not in ("inclusive", "exclusive"):
-        raise ValueError(f"bound must be 'inclusive' or 'exclusive', got {bound!r}")
-    sign: Sign = "plus" if bound == "inclusive" else "minus"
-    inv = Fraction(1, k + 1)
-    pairs = []
-    for i in range(k + 1):
-        coeff = inv * comb(k + 1, i) * bernoulli(i, sign)
-        if coeff:
-            pairs.append((k + 1 - i, coeff))
-    constant = Fraction(-1) if (bound == "exclusive" and k == 0) else Fraction(0)
-    return FaulhaberPolynomial(tuple(pairs), constant)
 
 
 def format_rational(value: Fraction | int) -> str:

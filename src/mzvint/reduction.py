@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
-from .indices import Index, IndexSum, IndexSumLike, as_index_sum
+from .indices import Index, IndexSum, IndexSumLike, add_term, as_index_sum
 from .rationals import bernoulli, binomial
 
 __all__ = ["reduce_step", "pi_plus", "clear_cache"]
@@ -72,15 +73,22 @@ def reduce_step(k: Index) -> IndexSum:
     return IndexSum(_reduce_at(k, m))
 
 
+def _reduce_terms(terms: Iterable[tuple[Index, Fraction]]) -> IndexSum:
+    # Accumulates in place into one fresh dict; the cached sums it reads
+    # are never mutated.
+    acc: dict[Index, Fraction] = {}
+    for index, coeff in terms:
+        for reduced, c in _pi_plus_index(index)._terms.items():
+            add_term(acc, reduced, coeff * c)
+    return IndexSum._from_clean(acc)
+
+
 @lru_cache(maxsize=None)
 def _pi_plus_index(k: Index) -> IndexSum:
     m = _reduction_position(k)
     if m is None:
         return IndexSum.single(k)
-    acc = IndexSum.zero()
-    for index, coeff in _reduce_at(k, m):
-        acc = acc + coeff * _pi_plus_index(index)
-    return acc
+    return _reduce_terms(_reduce_at(k, m))
 
 
 def pi_plus(a: IndexSumLike) -> IndexSum:
@@ -91,10 +99,7 @@ def pi_plus(a: IndexSumLike) -> IndexSum:
     themselves. Admissible input yields admissible positive support;
     regularizable input yields positive support. Idempotent by construction.
     """
-    acc = IndexSum.zero()
-    for index, coeff in as_index_sum(a):
-        acc = acc + coeff * _pi_plus_index(index)
-    return acc
+    return _reduce_terms(as_index_sum(a))
 
 
 def clear_cache() -> None:

@@ -6,18 +6,26 @@ admissible symbols produced by the positive reduction. Multiplying two
 symbols through the shuffle product and through the stuffle product must
 give the same value, so the difference of the two reduced expansions is a
 certified linear relation among positive admissible zeta values.
+
+The checks that both products obey the min-formula for the
+regularizability index and that the positive reduction is a homomorphism
+for both are here too, shared by ``mzvint verify`` and the tests.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 from .indices import (
     AdmissibilityError,
     Index,
     IndexSum,
+    IndexSumLike,
     is_admissible,
+    m_index,
+    m_of_sum,
 )
 from .reduction import pi_plus
 from .series import zeta_real_approx
@@ -32,7 +40,11 @@ __all__ = [
     "verify_relation_numeric",
     "relation_json_dict",
     "relation_json_line",
+    "min_formula_holds",
+    "is_homomorphic",
 ]
+
+Product = Callable[[IndexSumLike, IndexSumLike], IndexSum]
 
 
 def _require_admissible(k: Index) -> Index:
@@ -117,7 +129,8 @@ def verify_relation_numeric(rel: Relation, terms: int, tolerance: float) -> Nume
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     total = 0.0
-    for index, coeff in rel.difference:
+    # canonical order: the float sum must not depend on storage order
+    for index, coeff in rel.difference.terms():
         value, _ = zeta_real_approx(index, terms)
         total += float(coeff) * value
     return NumericReport(abs(total) < tolerance, total, terms, tolerance)
@@ -135,3 +148,21 @@ def relation_json_dict(rel: Relation) -> dict:
 def relation_json_line(rel: Relation) -> str:
     """One-line JSON form, stable across runs for identical inputs."""
     return json.dumps(relation_json_dict(rel), separators=(",", ":"))
+
+
+# Callers pass the product they look up at call time (``shuffle`` or
+# ``stuffle``), and ``pi_plus`` is read from this module's globals on each
+# call, so a function rebound on a module is the one that runs.
+
+
+def min_formula_holds(product: Product, k: Index, k2: Index) -> bool:
+    """The product's support has regularizability index
+    min(m(k), m(k2), m(k) + m(k2))."""
+    m1, m2 = m_index(k), m_index(k2)
+    return m_of_sum(product(k, k2)) == min(m1, m2, m1 + m2)
+
+
+def is_homomorphic(product: Product, k: Index, k2: Index) -> bool:
+    """pi_plus(k . k2) equals pi_plus(pi_plus(k) . pi_plus(k2)) for the
+    product ``.``."""
+    return pi_plus(product(k, k2)) == pi_plus(product(pi_plus(k), pi_plus(k2)))

@@ -15,25 +15,21 @@ in fixed priority order:
 Fully reduced terms that do not end in y span an ideal and are discarded as
 they appear; the surviving terms all end in y and map back to indices.
 Arguments are put in a canonical order first, which makes the procedure
-symmetric and lets the memo table use an unordered pair as its key.
+symmetric and lets the memo table use an unordered pair as its key. On
+random pairs the recursion has never gone more than one level deeper than
+the two words have letters together (the tests check this), so it needs
+no budget of its own; inputs beyond CPython's frame limit end in a
+RecursionError.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
-from .indices import Index, IndexSum, IndexSumLike, as_index_sum
-from .words import Blocks, Word, WordSum, is_wy, length
+from .indices import Index, IndexSum, IndexSumLike, add_term, bilinear
+from .words import EMPTY_WORD, Blocks, index_from_word, word_from_index
 
-__all__ = ["ShuffleRecursionError", "shuffle_words", "shuffle", "clear_cache"]
-
-
-class ShuffleRecursionError(RuntimeError):
-    """Internal error: the rewriting recursion exceeded its depth budget."""
-
-
-_EMPTY: Blocks = (0,)
+__all__ = ["shuffle", "clear_cache"]
 
 # Expansion results keyed by the (sorted) argument pair; values are tuples of
 # (blocks, integer coefficient). Entries are only ever written complete, so a
@@ -45,12 +41,10 @@ def clear_cache() -> None:
     _MEMO.clear()
 
 
-def _expand(bu: Blocks, bv: Blocks, depth: int) -> tuple[tuple[Blocks, int], ...]:
-    if depth <= 0:
-        raise ShuffleRecursionError("shuffle recursion exceeded its depth budget")
-    if bu == _EMPTY:
+def _expand(bu: Blocks, bv: Blocks) -> tuple[tuple[Blocks, int], ...]:
+    if bu == EMPTY_WORD:
         return ((bv, 1),)
-    if bv == _EMPTY:
+    if bv == EMPTY_WORD:
         return ((bu, 1),)
     if bv < bu:
         bu, bv = bv, bu
@@ -60,46 +54,29 @@ def _expand(bu: Blocks, bv: Blocks, depth: int) -> tuple[tuple[Blocks, int], ...
         return cached
 
     out: dict[Blocks, int] = {}
-
-    def add(blocks: Blocks, coeff: int) -> None:
-        acc = out.get(blocks)
-        if acc is None:
-            out[blocks] = coeff
-        else:
-            acc += coeff
-            if acc:
-                out[blocks] = acc
-            else:
-                del out[blocks]
-
     hu, hv = bu[0], bv[0]
-    if hu == 0:  # left factor starts with y (it is not empty here)
-        for blocks, coeff in _expand(bu[1:], bv, depth - 1):
-            add((0,) + blocks, coeff)
-    elif hv == 0:  # right factor starts with y
-        for blocks, coeff in _expand(bu, bv[1:], depth - 1):
-            add((0,) + blocks, coeff)
-    elif hu < 0:  # left factor starts with a d-run of length n
-        n = -hu
+    # The product is symmetric, so each rule that applies to either factor
+    # first moves that factor to the left.
+    if hu == 0 or hv == 0:  # a factor starts with y (it is not empty here)
+        if hu:
+            bu, bv = bv, bu
+        for blocks, coeff in _expand(bu[1:], bv):
+            add_term(out, (0,) + blocks, coeff)
+    elif hu < 0 or hv < 0:  # a factor starts with a d-run of length n
+        if hu > 0:
+            bu, bv = bv, bu
+        n = -bu[0]
         rest = (0,) + bu[1:]
         for t in range(n + 1):
             coeff = comb(n, t) if t % 2 == 0 else -comb(n, t)
             shifted = (bv[0] - t,) + bv[1:]
-            for blocks, inner in _expand(rest, shifted, depth - 1):
-                add((blocks[0] - (n - t),) + blocks[1:], coeff * inner)
-    elif hv < 0:  # d-run on the right factor: mirrored expansion
-        n = -hv
-        rest = (0,) + bv[1:]
-        for t in range(n + 1):
-            coeff = comb(n, t) if t % 2 == 0 else -comb(n, t)
-            shifted = (bu[0] - t,) + bu[1:]
-            for blocks, inner in _expand(shifted, rest, depth - 1):
-                add((blocks[0] - (n - t),) + blocks[1:], coeff * inner)
+            for blocks, inner in _expand(rest, shifted):
+                add_term(out, (blocks[0] - (n - t),) + blocks[1:], coeff * inner)
     else:  # both factors start with j
-        for blocks, coeff in _expand((hu - 1,) + bu[1:], bv, depth - 1):
-            add((blocks[0] + 1,) + blocks[1:], coeff)
-        for blocks, coeff in _expand(bu, (hv - 1,) + bv[1:], depth - 1):
-            add((blocks[0] + 1,) + blocks[1:], coeff)
+        for blocks, coeff in _expand((hu - 1,) + bu[1:], bv):
+            add_term(out, (blocks[0] + 1,) + blocks[1:], coeff)
+        for blocks, coeff in _expand(bu, (hv - 1,) + bv[1:]):
+            add_term(out, (blocks[0] + 1,) + blocks[1:], coeff)
 
     # Quotient step: drop reduced terms that do not end in y.
     result = tuple((blocks, coeff) for blocks, coeff in out.items() if blocks[-1] == 0)
@@ -107,48 +84,11 @@ def _expand(bu: Blocks, bv: Blocks, depth: int) -> tuple[tuple[Blocks, int], ...
     return result
 
 
-def _budget(bu: Blocks, bv: Blocks, max_depth: int | None) -> int:
-    if max_depth is not None:
-        return max_depth
-    return 10 * (length(Word(bu)) + length(Word(bv))) + 10
+def _pair(k: Index, k2: Index) -> list[tuple[Index, int]]:
+    terms = _expand(word_from_index(k), word_from_index(k2))
+    return [(index_from_word(blocks), coeff) for blocks, coeff in terms]
 
 
-def shuffle_words(u: Word, v: Word, *, max_depth: int | None = None) -> WordSum:
-    """Shuffle two words; both must be empty or end in y.
-
-    ``max_depth`` bounds the recursion (default 10x the combined letter
-    count); exceeding it raises :class:`ShuffleRecursionError`.
-    """
-    for w in (u, v):
-        if not is_wy(w):
-            raise ValueError(f"shuffle operands must be empty or end in y, got {w!r}")
-    terms = _expand(u.blocks, v.blocks, _budget(u.blocks, v.blocks, max_depth))
-    return WordSum(((Word(blocks), Fraction(coeff)) for blocks, coeff in terms))
-
-
-def _shuffle_indices(k: Index, k2: Index, max_depth: int | None) -> tuple[tuple[Blocks, int], ...]:
-    bu = tuple(reversed(k)) + (0,)
-    bv = tuple(reversed(k2)) + (0,)
-    return _expand(bu, bv, _budget(bu, bv, max_depth))
-
-
-def shuffle(a: IndexSumLike, b: IndexSumLike, *, max_depth: int | None = None) -> IndexSum:
+def shuffle(a: IndexSumLike, b: IndexSumLike) -> IndexSum:
     """Bilinear extension of the word shuffle to index combinations."""
-    left = as_index_sum(a)
-    right = as_index_sum(b)
-    acc: dict[Index, Fraction] = {}
-    for k, ca in left:
-        for k2, cb in right:
-            scale = ca * cb
-            for blocks, coeff in _shuffle_indices(k, k2, max_depth):
-                index = tuple(reversed(blocks[:-1]))
-                prev = acc.get(index)
-                if prev is None:
-                    acc[index] = scale * coeff
-                else:
-                    prev = prev + scale * coeff
-                    if prev:
-                        acc[index] = prev
-                    else:
-                        del acc[index]
-    return IndexSum._from_clean(acc)
+    return bilinear(a, b, _pair)

@@ -14,10 +14,9 @@ sound because the recursion is symmetric in its two arguments.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .indices import Index, IndexSum, IndexSumLike, as_index_sum
+from .indices import Index, IndexSum, IndexSumLike, add_term, bilinear
 
 __all__ = ["stuffle", "clear_cache"]
 
@@ -39,8 +38,7 @@ def _pair_sorted(k: Index, k2: Index) -> tuple[tuple[Index, int], ...]:
     out: dict[Index, int] = {}
     for tail_entry, sub in ((a, _pair(k[:-1], k2)), (b, _pair(k, k2[:-1])), (a + b, _pair(k[:-1], k2[:-1]))):
         for index, coeff in sub:
-            grown = index + (tail_entry,)
-            out[grown] = out.get(grown, 0) + coeff
+            add_term(out, index + (tail_entry,), coeff)
     return tuple(out.items())
 
 
@@ -50,20 +48,4 @@ def clear_cache() -> None:
 
 def stuffle(a: IndexSumLike, b: IndexSumLike) -> IndexSum:
     """Bilinear extension of the index-pair recursion."""
-    left = as_index_sum(a)
-    right = as_index_sum(b)
-    acc: dict[Index, Fraction] = {}
-    for k, ca in left:
-        for k2, cb in right:
-            scale = ca * cb
-            for index, coeff in _pair(k, k2):
-                prev = acc.get(index)
-                if prev is None:
-                    acc[index] = scale * coeff
-                else:
-                    prev = prev + scale * coeff
-                    if prev:
-                        acc[index] = prev
-                    else:
-                        del acc[index]
-    return IndexSum._from_clean(acc)
+    return bilinear(a, b, _pair)

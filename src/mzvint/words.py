@@ -1,284 +1,51 @@
-"""Words over the alphabet {j, d, y} modulo the cancellation jd = dj = 1.
+"""The word encoding of integer indices, used by the shuffle product.
 
-A word is stored in canonical form as a tuple of exponent blocks
-``(a_1, ..., a_s)`` meaning ``j^{a_1} y j^{a_2} y ... y j^{a_s}`` with
-``a_i`` any integer (negative exponents are runs of the letter d, exponent
-zero is the empty run). Block arithmetic makes cancellation automatic, so a
-blocks tuple *is* a normal form and distinct tuples are distinct words.
+A word over the letters {j, d, y} modulo the cancellation jd = dj = 1 is
+stored as its exponent blocks ``(a_1, ..., a_s)``, meaning
+``j^{a_1} y j^{a_2} y ... y j^{a_s}``: a negative exponent is a run of d and
+exponent zero the empty run. Cancellation is the addition of exponents, so
+a blocks tuple is already a normal form and distinct tuples are distinct
+words. The empty word is ``(0,)``.
 
-Words ending in y (last block zero, at least one y) are in bijection with
-integer indices: the word of ``(k_1, ..., k_r)`` is
-``j^{k_r} y j^{k_{r-1}} y ... j^{k_1} y``, i.e. the blocks read the index
-backwards with a trailing zero block. Prepending a letter acts on the last
-index entry: j raises it, d lowers it, y appends a fresh zero entry.
+Words ending in y (last block zero) are in bijection with integer indices:
+the word of ``(k_1, ..., k_r)`` is ``j^{k_r} y j^{k_{r-1}} y ... j^{k_1} y``,
+i.e. the blocks read the index backwards with a trailing zero block.
+Prepending a letter acts on the last index entry: j raises it, d lowers it,
+y appends a fresh zero entry.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
-
 from .indices import Index
 
-__all__ = [
-    "Word",
-    "EMPTY_WORD",
-    "LETTERS",
-    "normalize",
-    "word_from_index",
-    "index_from_word",
-    "length",
-    "prepend_letter",
-    "prepend",
-    "is_wy",
-    "word_to_text",
-    "word_from_text",
-    "WordSum",
-]
-
-LETTERS = ("j", "d", "y")
+__all__ = ["Blocks", "EMPTY_WORD", "word_from_index", "index_from_word", "length", "is_wy"]
 
 Blocks = tuple[int, ...]
 
-
-@dataclass(frozen=True)
-class Word:
-    """A normalized word, as exponent blocks separated by y letters."""
-
-    blocks: Blocks
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.blocks, tuple) or not self.blocks:
-            raise ValueError("a word needs at least one exponent block")
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self.blocks) == 1 and self.blocks[0] == 0
-
-    @property
-    def ends_with_y(self) -> bool:
-        return len(self.blocks) >= 2 and self.blocks[-1] == 0
-
-    @property
-    def y_count(self) -> int:
-        return len(self.blocks) - 1
-
-    def first_letter(self) -> str | None:
-        """Leading letter of the normalized word; None for the empty word."""
-        head = self.blocks[0]
-        if head > 0:
-            return "j"
-        if head < 0:
-            return "d"
-        return None if self.is_empty else "y"
-
-    def __len__(self) -> int:
-        return length(self)
-
-    def __repr__(self) -> str:
-        return f"Word({word_to_text(self)!r})"
+EMPTY_WORD: Blocks = (0,)
 
 
-EMPTY_WORD = Word((0,))
+def word_from_index(k: Index) -> Blocks:
+    """The word of an index: the entries reversed, then a final zero block."""
+    return tuple(k)[::-1] + (0,)
 
 
-def normalize(letters: Iterable[str]) -> Word:
-    """Fold a raw letter sequence into canonical block form.
-
-    Adjacent jd / dj pairs cancel as a side effect of summing exponents, so
-    the result is independent of any explicit cancellation order.
-    """
-    blocks = [0]
-    for letter in letters:
-        if letter == "j":
-            blocks[-1] += 1
-        elif letter == "d":
-            blocks[-1] -= 1
-        elif letter == "y":
-            blocks.append(0)
-        else:
-            raise ValueError(f"letter must be one of {LETTERS}, got {letter!r}")
-    return Word(tuple(blocks))
-
-
-def word_from_index(k: Index) -> Word:
-    """The word of an index: blocks are the reversed entries plus a final y."""
-    return Word(tuple(reversed(tuple(k))) + (0,))
-
-
-def index_from_word(w: Word) -> Index:
+def index_from_word(w: Blocks) -> Index:
     """Inverse of :func:`word_from_index`.
 
-    Only the empty word and words ending in y correspond to indices; any
-    other word is rejected rather than silently projected.
+    Only words ending in y (the empty word included) correspond to indices;
+    any other word is rejected rather than silently projected.
     """
-    if w.is_empty:
-        return ()
-    if not w.ends_with_y:
-        raise ValueError(f"word {word_to_text(w)!r} does not end in y and has no index")
-    return tuple(reversed(w.blocks[:-1]))
+    if w[-1] != 0:
+        raise ValueError(f"word {w} does not end in y and has no index")
+    return w[-2::-1]
 
 
-def length(w: Word) -> int:
-    """Letter count of the normalized word: y letters plus absolute exponents."""
-    return sum(abs(b) for b in w.blocks) + (len(w.blocks) - 1)
+def length(w: Blocks) -> int:
+    """Letter count of the word: y letters plus absolute exponents."""
+    return sum(map(abs, w)) + len(w) - 1
 
 
-def prepend_letter(letter: str, w: Word) -> Word:
-    """Left-concatenate a single letter and renormalize."""
-    blocks = w.blocks
-    if letter == "j":
-        return Word((blocks[0] + 1,) + blocks[1:])
-    if letter == "d":
-        return Word((blocks[0] - 1,) + blocks[1:])
-    if letter == "y":
-        return Word((0,) + blocks)
-    raise ValueError(f"letter must be one of {LETTERS}, got {letter!r}")
-
-
-def is_wy(w: Word) -> bool:
+def is_wy(w: Blocks) -> bool:
     """True for words with an index: the empty word or a word ending in y."""
-    return w.blocks[-1] == 0
-
-
-def word_to_text(w: Word) -> str:
-    """Compact debug form, letters concatenated; ``"1"`` for the empty word."""
-    if w.is_empty:
-        return "1"
-    parts: list[str] = []
-    for i, block in enumerate(w.blocks):
-        if i:
-            parts.append("y")
-        parts.append(("j" if block > 0 else "d") * abs(block))
-    return "".join(parts)
-
-
-_TOKEN = re.compile(r"\s*([jdy])(?:\s*\^\s*(-?\d+))?")
-
-
-def word_from_text(text: str) -> Word:
-    """Parse either compact (``"jjydy"``) or exponent (``"j^2 y d y"``) form.
-
-    A negative exponent on j means a run of d and vice versa; ``"1"`` (or an
-    empty string) is the empty word.
-    """
-    stripped = text.strip()
-    if stripped in ("", "1"):
-        return EMPTY_WORD
-    letters: list[str] = []
-    pos = 0
-    while pos < len(stripped):
-        match = _TOKEN.match(stripped, pos)
-        if match is None:
-            raise ValueError(f"bad word syntax at position {pos} in {text!r}")
-        letter, exponent = match.group(1), match.group(2)
-        if exponent is None:
-            letters.append(letter)
-        else:
-            count = int(exponent)
-            if letter == "y":
-                if count < 0:
-                    raise ValueError(f"y cannot carry a negative exponent in {text!r}")
-                letters.extend("y" * count)
-            else:
-                effective = letter if count >= 0 else ("d" if letter == "j" else "j")
-                letters.extend(effective * abs(count))
-        pos = match.end()
-    return normalize(letters)
-
-
-TermsLike = Union[Mapping[Word, Fraction], Iterable[tuple[Word, Fraction]]]
-
-
-class WordSum:
-    """A finite Q-linear combination of words; zero coefficients are pruned."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: TermsLike = ()) -> None:
-        data: dict[Word, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for word, coeff in items:
-            coeff = Fraction(coeff)
-            if not coeff:
-                continue
-            acc = data.get(word)
-            if acc is None:
-                data[word] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    data[word] = acc
-                else:
-                    del data[word]
-        self._terms = data
-
-    @classmethod
-    def single(cls, word: Word, coeff: Fraction | int = 1) -> "WordSum":
-        return cls(((word, Fraction(coeff)),))
-
-    def terms(self) -> list[tuple[Word, Fraction]]:
-        return sorted(self._terms.items(), key=lambda item: (len(item[0].blocks), item[0].blocks))
-
-    def coefficient(self, word: Word) -> Fraction:
-        return self._terms.get(word, Fraction(0))
-
-    def support(self) -> frozenset[Word]:
-        return frozenset(self._terms)
-
-    def __iter__(self) -> Iterator[tuple[Word, Fraction]]:
-        return iter(self.terms())
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WordSum):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "WordSum") -> "WordSum":
-        if not isinstance(other, WordSum):
-            return NotImplemented
-        out = WordSum()
-        out._terms = dict(self._terms)
-        for word, coeff in other._terms.items():
-            acc = out._terms.get(word)
-            if acc is None:
-                out._terms[word] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    out._terms[word] = acc
-                else:
-                    del out._terms[word]
-        return out
-
-    def __mul__(self, scalar: Fraction | int) -> "WordSum":
-        c = Fraction(scalar)
-        out = WordSum()
-        if c:
-            out._terms = {word: coeff * c for word, coeff in self._terms.items()}
-        return out
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "WordSum<0>"
-        body = " + ".join(f"{coeff}*{word_to_text(word)}" for word, coeff in self.terms())
-        return f"WordSum<{body}>"
-
-
-def prepend(letter: str, s: WordSum) -> WordSum:
-    """Left-concatenate a letter onto every term of a sum (linear in the
-    coefficients, renormalizing each word)."""
-    return WordSum(((prepend_letter(letter, word), coeff) for word, coeff in s.terms()))
+    return w[-1] == 0

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from mzvint.cli import IndexSyntaxError, main, parse_index
+from mzvint.cli import MAX_EVAL_TERMS, IndexSyntaxError, main, parse_index
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +112,16 @@ def test_relation_out_appends_jsonl(tmp_path, capsys):
     assert json.loads(lines[1])["pair"] == [[2], [2]]
 
 
+def test_relation_out_unwritable_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "relations.jsonl"
+    code, out, err = run_cli(capsys, "relation", "(2)", "(3)", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot open --out file")
+    assert err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_eval_command(capsys):
     code, out, _ = run_cli(capsys, "eval", "(2)", "--terms", "20000")
     assert code == 0
@@ -124,6 +134,15 @@ def test_eval_rejects_non_admissible(capsys):
     code, _, err = run_cli(capsys, "eval", "(1)")
     assert code == 2
     assert "admissible" in err
+
+
+def test_eval_rejects_terms_above_bound(capsys):
+    code, out, err = run_cli(capsys, "eval", "(2)", "--terms", str(MAX_EVAL_TERMS + 1))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --terms must be <= {MAX_EVAL_TERMS}, got {MAX_EVAL_TERMS + 1}\n"
+    # the README's example stays within the bound
+    assert MAX_EVAL_TERMS >= 100000
 
 
 def test_usage_error_exit_code(capsys):

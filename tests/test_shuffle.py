@@ -3,18 +3,17 @@
 from __future__ import annotations
 
 import functools
+import importlib
 import random
 from collections import Counter
 from fractions import Fraction
 from math import comb
 
-import pytest
-
 from mzvint.indices import IndexSum, m_index, m_of_sum
 from mzvint.reduction import pi_plus
 from mzvint.series import combination_series, mpl_coefficients, verify_shuffle
-from mzvint.shuffle import ShuffleRecursionError, clear_cache, shuffle, shuffle_words
-from mzvint.words import word_from_text, WordSum
+from mzvint.shuffle import clear_cache, shuffle
+from mzvint.words import length, word_from_index
 
 
 def euler_product(a: int, b: int) -> IndexSum:
@@ -75,29 +74,24 @@ def classical_shuffle(k, k2) -> IndexSum:
 
 
 # ---------------------------------------------------------------------------
-# word-level examples
+# word-level examples: a word ending in y is an index, so the word products
+# are read on indices (the word of (k_1, ..., k_r) is j^{k_r} y ... j^{k_1} y)
 
 
 def test_words_with_zero_entries():
-    result = shuffle_words(word_from_text("y"), word_from_text("y"))
-    assert result == WordSum.single(word_from_text("yy"))
+    # yy # y = y(y # y) = yyy: the y-rule pulls each leading y out front
+    assert shuffle((0, 0), (0,)) == IndexSum.single((0, 0, 0))
+    assert verify_shuffle((0, 0), (0,), 40).passed
 
 
 def test_words_depth_one_positive():
-    result = shuffle_words(word_from_text("jy"), word_from_text("jy"))
-    assert result == WordSum.single(word_from_text("jyjy"), 2)
+    # jy # jy = 2 jyjy
+    assert shuffle((1,), (1,)) == IndexSum.single((1, 1), 2)
 
 
 def test_words_depth_one_negative():
-    result = shuffle_words(word_from_text("dy"), word_from_text("dy"))
-    assert result == WordSum(
-        [(word_from_text("dydy"), Fraction(1)), (word_from_text("yddy"), Fraction(-1))]
-    )
-
-
-def test_words_reject_non_wy_input():
-    with pytest.raises(ValueError):
-        shuffle_words(word_from_text("jy"), word_from_text("jyd"))
+    # dy # dy = dydy - yddy
+    assert shuffle((-1,), (-1,)) == IndexSum([((-1, -1), 1), ((-2, 0), -1)])
 
 
 def test_unit_laws():
@@ -291,10 +285,28 @@ def test_concurrent_calls_match_sequential():
     assert concurrent == expected
 
 
-def test_recursion_guard_reports_budget_overflow():
+def test_expand_depth_within_letters_plus_one(monkeypatch):
+    # the recursion goes at most one level deeper than the two words have
+    # letters, so a depth budget proportional to the letter count never fires
+    module = importlib.import_module("mzvint.shuffle")
+    expand = module._expand
+    depth = peak = 0
+
+    def traced(bu, bv):
+        nonlocal depth, peak
+        depth += 1
+        peak = max(peak, depth)
+        try:
+            return expand(bu, bv)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(module, "_expand", traced)
+    rng = random.Random(4242)
+    for _ in range(100):
+        k, k2 = _sample(rng, 3, -4, 4), _sample(rng, 3, -4, 4)
+        clear_cache()  # a warm memo would skip the recursion
+        peak = 0
+        shuffle(k, k2)
+        assert peak <= length(word_from_index(k)) + length(word_from_index(k2)) + 1, (k, k2)
     clear_cache()
-    with pytest.raises(ShuffleRecursionError):
-        shuffle((4, 3, 2), (2, 3, 4), max_depth=5)
-    clear_cache()
-    # generous budgets terminate fine
-    assert shuffle((4, 3, 2), (2, 3, 4)) == shuffle((2, 3, 4), (4, 3, 2))

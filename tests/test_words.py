@@ -1,91 +1,41 @@
-"""Word normalization, the index bijection, and letter bookkeeping."""
+"""The word encoding of indices: blocks, the bijection, and letter counts."""
 
 from __future__ import annotations
-
-import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mzvint.words import (
-    EMPTY_WORD,
-    Word,
-    WordSum,
-    index_from_word,
-    is_wy,
-    length,
-    normalize,
-    prepend,
-    prepend_letter,
-    word_from_index,
-    word_from_text,
-    word_to_text,
-)
+from mzvint.words import EMPTY_WORD, index_from_word, is_wy, length, word_from_index
 
 indices = st.lists(st.integers(-5, 5), max_size=6).map(tuple)
-letter_lists = st.lists(st.sampled_from("jdy"), max_size=14)
-
-
-def slow_normalize(letters: list[str], rng: random.Random) -> str:
-    """Oracle: cancel one randomly chosen adjacent jd/dj pair at a time."""
-    word = list(letters)
-    while True:
-        sites = [
-            i
-            for i in range(len(word) - 1)
-            if (word[i], word[i + 1]) in (("j", "d"), ("d", "j"))
-        ]
-        if not sites:
-            return "".join(word)
-        i = rng.choice(sites)
-        del word[i : i + 2]
-
-
-def test_normalize_examples():
-    assert normalize("jdy") == word_from_text("y")
-    assert normalize("djy") == word_from_text("y")
-    assert normalize("jjydy") == word_from_text("jjydy")
-    assert normalize("") == EMPTY_WORD
-
-
-def test_normalize_rejects_unknown_letters():
-    with pytest.raises(ValueError):
-        normalize("jxy")
-
-
-@given(letter_lists, st.integers(0, 2**32 - 1))
-def test_normalize_confluent_under_random_cancellation_order(letters, seed):
-    rng = random.Random(seed)
-    reduced = slow_normalize(letters, rng)
-    # the fully cancelled letter string equals the block normal form
-    assert word_to_text(normalize(letters)) == (reduced if reduced else "1")
 
 
 def test_word_from_index_examples():
-    assert word_to_text(word_from_index((0,))) == "y"
-    assert word_to_text(word_from_index((1, 0))) == "yjy"
-    assert word_to_text(word_from_index((-1, 2))) == "jjydy"
+    assert word_from_index((0,)) == (0, 0)  # y
+    assert word_from_index((1, 0)) == (0, 1, 0)  # yjy
+    assert word_from_index((-1, 2)) == (2, -1, 0)  # jjydy
     assert word_from_index(()) == EMPTY_WORD
 
 
 def test_index_from_word_examples():
-    assert index_from_word(word_from_text("yjy")) == (1, 0)
+    assert index_from_word((0, 1, 0)) == (1, 0)
     assert index_from_word(EMPTY_WORD) == ()
-    assert index_from_word(word_from_text("jjy")) == (2,)
+    assert index_from_word((2, 0)) == (2,)
 
 
 def test_index_from_word_rejects_non_wy():
-    for text in ("j", "d", "jjyd", "yj"):
+    # j, d, jjyd, yj
+    for w in ((1,), (-1,), (2, -1), (0, 1)):
+        assert not is_wy(w)
         with pytest.raises(ValueError):
-            index_from_word(word_from_text(text))
+            index_from_word(w)
 
 
 @given(indices)
 def test_round_trip_index_to_word(k):
     w = word_from_index(k)
     assert is_wy(w)
-    assert w.y_count == len(k)
+    assert len(w) - 1 == len(k)  # one y letter per entry
     assert index_from_word(w) == k
 
 
@@ -96,8 +46,8 @@ def test_round_trip_word_to_index(k):
 
 
 def test_length_examples():
-    assert length(word_from_text("y")) == 1
-    assert length(word_from_text("jjydy")) == 5
+    assert length((0, 0)) == 1  # y
+    assert length((2, -1, 0)) == 5  # jjydy
     assert length(EMPTY_WORD) == 0
 
 
@@ -105,61 +55,3 @@ def test_length_examples():
 def test_length_of_index_word(k):
     # r y-letters plus the absolute exponents
     assert length(word_from_index(k)) == sum(abs(e) for e in k) + len(k)
-
-
-@given(letter_lists)
-def test_length_counts_letters_after_cancellation(letters):
-    reduced = slow_normalize(list(letters), random.Random(0))
-    assert length(normalize(letters)) == len(reduced)
-
-
-def test_prepend_letter_cancels():
-    assert prepend_letter("j", word_from_text("dy")) == word_from_text("y")
-    assert prepend_letter("d", word_from_text("y")) == word_from_text("dy")
-    assert prepend_letter("y", EMPTY_WORD) == word_from_text("y")
-
-
-def test_prepend_examples():
-    assert prepend("j", WordSum.single(word_from_text("dy"))) == WordSum.single(
-        word_from_text("y")
-    )
-    assert prepend("d", WordSum.single(word_from_text("y"))) == WordSum.single(
-        word_from_text("dy")
-    )
-    mixed = WordSum(
-        [(word_from_text("y"), Fraction(2)), (word_from_text("jy"), Fraction(-1))]
-    )
-    assert prepend("y", mixed) == WordSum(
-        [(word_from_text("yy"), Fraction(2)), (word_from_text("yjy"), Fraction(-1))]
-    )
-
-
-def test_first_letter():
-    assert word_from_text("jjy").first_letter() == "j"
-    assert word_from_text("dy").first_letter() == "d"
-    assert word_from_text("yjy").first_letter() == "y"
-    assert EMPTY_WORD.first_letter() is None
-
-
-def test_text_forms():
-    assert word_to_text(EMPTY_WORD) == "1"
-    assert word_from_text("1") == EMPTY_WORD
-    assert word_from_text("  ") == EMPTY_WORD
-    assert word_from_text("j^2 y d y") == word_from_text("jjydy")
-    assert word_from_text("j^-2 y") == word_from_text("ddy")
-    assert word_from_text("y^3") == word_from_text("yyy")
-    with pytest.raises(ValueError):
-        word_from_text("j^2 q")
-    with pytest.raises(ValueError):
-        word_from_text("y^-1")
-
-
-@given(indices)
-def test_text_round_trip(k):
-    w = word_from_index(k)
-    assert word_from_text(word_to_text(w)) == w
-
-
-def test_word_requires_blocks():
-    with pytest.raises(ValueError):
-        Word(())
