@@ -10,10 +10,10 @@ series and harmonic-sum oracles verify the identities coefficientwise.
 The names exported here are the whole public surface: the index core and
 its sparse Q-linear combinations (``IndexSum``), the positive reduction,
 the two products, the relations and the oracles that certify them, and the
-Bernoulli numbers and rational text forms they rest on. The word encoding
-behind the shuffle product (``mzvint.words``), the shared checks
-(``mzvint.relations``) and the command line (``mzvint.cli``) stay in their
-modules.
+Bernoulli numbers and rational text forms they rest on; ``clear_caches``
+empties every memo table. The word encoding behind the shuffle product
+(``mzvint.words``), the shared checks (``mzvint.relations``) and the
+command line (``mzvint.cli``) stay in their modules.
 """
 
 from .indices import (
@@ -35,8 +35,8 @@ from .indices import (
     tail_index,
     weight,
 )
-from .rationals import bernoulli, binomial, format_rational, parse_rational
-from .reduction import pi_plus, reduce_step
+from .rationals import _bernoulli_lower, bernoulli, binomial, format_rational, parse_rational
+from .reduction import _pi_plus_index, pi_plus, reduce_step
 from .relations import (
     NumericReport,
     Relation,
@@ -47,6 +47,9 @@ from .relations import (
     zeta_expand,
 )
 from .series import (
+    _harmonic_cached,
+    _mpl_cached,
+    _zeta_real_cached,
     Report,
     SeriesPoly,
     combination_series,
@@ -57,10 +60,27 @@ from .series import (
     verify_stuffle,
     zeta_real_approx,
 )
-from .shuffle import shuffle
-from .stuffle import stuffle
+from .shuffle import _MEMO, shuffle
+from .stuffle import _pair_sorted, stuffle
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty all seven memo tables: the shuffle and stuffle pair rules, the
+    positive reduction of single indices, the series, harmonic and
+    floating-point partial sums, and the Bernoulli numbers."""
+    _MEMO.clear()
+    for table in (
+        _pair_sorted,
+        _pi_plus_index,
+        _mpl_cached,
+        _harmonic_cached,
+        _zeta_real_cached,
+        _bernoulli_lower,
+    ):
+        table.cache_clear()
+
 
 __all__ = [
     "AdmissibilityError",
@@ -77,6 +97,7 @@ __all__ = [
     "bernoulli",
     "binomial",
     "classify",
+    "clear_caches",
     "combination_series",
     "concat",
     "depth",

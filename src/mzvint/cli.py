@@ -11,11 +11,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .indices import (
     AdmissibilityError,
@@ -34,12 +32,13 @@ from .stuffle import stuffle
 
 __all__ = ["IndexSyntaxError", "parse_index", "main"]
 
-ENV_ORDER = "MZVINT_ORDER"
 DEFAULT_SERIES_ORDER = 60
 DEFAULT_HARMONIC_ORDER = 50
 # eval keeps two float lists of --terms + 1 entries (about 75 MB at this bound)
 MAX_EVAL_TERMS = 1_000_000
-SUITES = ("reduction", "shuffle", "stuffle", "homomorphism", "m-formula")
+# |entry| bound of parsed indices: the Bernoulli recurrence behind pi-plus and
+# the shuffle recursion both grow steeply with the largest entry
+MAX_ENTRY = 100
 
 
 class IndexSyntaxError(ValueError):
@@ -54,7 +53,7 @@ def parse_index(text: str) -> Index:
     """Parse ``"(k1,k2,...)"`` (``"()"`` for the empty index).
 
     Spaces around entries are allowed and the Unicode minus sign is accepted
-    alongside the ASCII hyphen.
+    alongside the ASCII hyphen. Every entry must lie in -MAX_ENTRY..MAX_ENTRY.
     """
     s = text.strip()
     offset = text.index(s) if s else 0
@@ -73,9 +72,12 @@ def parse_index(text: str) -> Index:
         if not token:
             raise IndexSyntaxError("empty entry", position)
         try:
-            entries.append(int(token.replace("−", "-")))
+            entry = int(token.replace("−", "-"))
         except ValueError:
             raise IndexSyntaxError(f"not an integer: {token!r}", position) from None
+        if abs(entry) > MAX_ENTRY:
+            raise IndexSyntaxError(f"entry {entry} outside -{MAX_ENTRY}..{MAX_ENTRY}", position)
+        entries.append(entry)
         chunk_start += len(chunk) + 1
     return tuple(entries)
 
@@ -161,88 +163,52 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # verification driver
 
+# suite -> (indices per case, max depth, lowest entry, highest entry, check,
+# default truncation order). A check is the name of a function in this module,
+# looked up when a case runs, so rebinding it here is seen. A check with a
+# default order is a series or harmonic oracle called as check(*ks, order);
+# one without is a product check run on both shuffle and stuffle. The table
+# order is the ``--suite all`` order.
+SUITES = {
+    "reduction": (1, 3, -3, 4, "verify_reduction", DEFAULT_SERIES_ORDER),
+    "shuffle": (2, 3, -3, 3, "verify_shuffle", DEFAULT_SERIES_ORDER),
+    "stuffle": (2, 3, -3, 3, "verify_stuffle", DEFAULT_HARMONIC_ORDER),
+    "homomorphism": (2, 3, -2, 3, "is_homomorphic", None),
+    "m-formula": (2, 4, -4, 4, "min_formula_holds", None),
+}
+
 
 def _sample_index(rng: random.Random, max_depth: int, lo: int, hi: int) -> Index:
     return tuple(rng.randint(lo, hi) for _ in range(rng.randint(0, max_depth)))
 
 
-def _generate_cases(suite: str, seed: int, cases: int, series_order: int, harmonic_order: int):
-    rng = random.Random(f"{seed}:{suite}")
-    out = []
-    for _ in range(cases):
-        if suite == "reduction":
-            out.append(("reduction", _sample_index(rng, 3, -3, 4), series_order))
-        elif suite == "shuffle":
-            out.append(
-                ("shuffle", _sample_index(rng, 3, -3, 3), _sample_index(rng, 3, -3, 3), series_order)
-            )
-        elif suite == "stuffle":
-            out.append(
-                ("stuffle", _sample_index(rng, 3, -3, 3), _sample_index(rng, 3, -3, 3), harmonic_order)
-            )
-        elif suite == "m-formula":
-            out.append(
-                ("m-formula", _sample_index(rng, 4, -4, 4), _sample_index(rng, 4, -4, 4))
-            )
-        elif suite == "homomorphism":
-            out.append(
-                ("homomorphism", _sample_index(rng, 3, -2, 3), _sample_index(rng, 3, -2, 3))
-            )
-        else:
-            raise ValueError(f"unknown suite {suite!r}")
-    return out
-
-
 def _run_case(case: tuple) -> tuple[bool, str]:
-    kind = case[0]
-    if kind == "reduction":
-        _, k, order = case
-        ok = verify_reduction(k, order).passed
-        return ok, f"reduction {format_index(k)} order={order}"
-    if kind == "shuffle":
-        _, k, k2, order = case
-        ok = verify_shuffle(k, k2, order).passed
-        return ok, f"shuffle {format_index(k)} {format_index(k2)} order={order}"
-    if kind == "stuffle":
-        _, k, k2, order = case
-        ok = verify_stuffle(k, k2, order).passed
-        return ok, f"stuffle {format_index(k)} {format_index(k2)} order={order}"
-    if kind == "m-formula":
-        _, k, k2 = case
-        ok = all(min_formula_holds(product, k, k2) for product in (shuffle, stuffle))
-        return ok, f"m-formula {format_index(k)} {format_index(k2)}"
-    if kind == "homomorphism":
-        _, k, k2 = case
-        ok = all(is_homomorphic(product, k, k2) for product in (shuffle, stuffle))
-        return ok, f"homomorphism {format_index(k)} {format_index(k2)}"
-    raise ValueError(f"unknown case kind {kind!r}")
-
-
-def _run_cases(cases: list, jobs: int) -> Iterable[tuple[bool, str]]:
-    if jobs <= 1:
-        return [_run_case(case) for case in cases]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        # map preserves submission order, keeping the aggregate deterministic
-        return list(pool.map(_run_case, cases, chunksize=8))
+    suite, ks, order = case
+    check = globals()[SUITES[suite][4]]
+    label = " ".join([suite, *map(format_index, ks)])
+    if order is None:
+        return all(check(product, *ks) for product in (shuffle, stuffle)), label
+    return check(*ks, order).passed, f"{label} order={order}"
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.cases < 0:
         raise ValueError(f"--cases must be >= 0, got {args.cases}")
-    suites = SUITES if args.suite == "all" else (args.suite,)
-    order = args.order if args.order is not None else _default_order()
-    series_order = order if order is not None else DEFAULT_SERIES_ORDER
-    harmonic_order = order if order is not None else DEFAULT_HARMONIC_ORDER
     any_failed = False
-    for suite in suites:
-        cases = _generate_cases(suite, args.seed, args.cases, series_order, harmonic_order)
-        results = _run_cases(cases, args.jobs)
-        failures = [label for ok, label in results if not ok]
+    for suite in SUITES if args.suite == "all" else (args.suite,):
+        per_case, max_depth, lo, hi, _, order = SUITES[suite]
+        if order is not None and args.order is not None:
+            order = args.order
+        rng = random.Random(f"{args.seed}:{suite}")
+        cases = [
+            (suite, tuple(_sample_index(rng, max_depth, lo, hi) for _ in range(per_case)), order)
+            for _ in range(args.cases)
+        ]
+        failures = [label for ok, label in map(_run_case, cases) if not ok]
         print(f"{suite}: {len(cases) - len(failures)}/{len(cases)} pass")
         for label in failures:
             print(f"  FAIL {label}")
-        if failures:
-            any_failed = True
+        any_failed = any_failed or bool(failures)
     return 1 if any_failed else 0
 
 
@@ -250,23 +216,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # parser
 
 
-def _default_order() -> int | None:
-    raw = os.environ.get(ENV_ORDER)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_ORDER} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{ENV_ORDER} must be >= 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mzvint",
-        description="Exact double-shuffle algebra for multiple zeta values of integer indices.",
+        description="Exact double-shuffle algebra for multiple zeta values of integer indices. "
+        f"Index entries must satisfy |k_i| <= {MAX_ENTRY}.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -303,18 +257,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_relation)
 
     p = sub.add_parser("verify", help="run randomized verification suites")
-    p.add_argument("--suite", choices=SUITES + ("all",), default="all")
+    p.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=100)
     p.add_argument(
         "--order",
         type=int,
         default=None,
-        help=f"truncation order for series/harmonic checks "
-        f"(defaults: {DEFAULT_SERIES_ORDER} series, {DEFAULT_HARMONIC_ORDER} harmonic; "
-        f"also settable via {ENV_ORDER})",
+        help="truncation order of the reduction and shuffle series checks and bound of the "
+        "stuffle harmonic check, for every such case "
+        f"(defaults: {DEFAULT_SERIES_ORDER} series, {DEFAULT_HARMONIC_ORDER} harmonic)",
     )
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for case execution")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("eval", help="floating-point estimate of an admissible zeta value")

@@ -26,7 +26,7 @@ from typing import Iterable
 from .indices import Index, IndexSum, IndexSumLike, add_term, as_index_sum
 from .rationals import bernoulli, binomial
 
-__all__ = ["reduce_step", "pi_plus", "clear_cache"]
+__all__ = ["reduce_step", "pi_plus"]
 
 
 def _reduction_position(k: Index) -> int | None:
@@ -100,7 +100,3 @@ def pi_plus(a: IndexSumLike) -> IndexSum:
     regularizable input yields positive support. Idempotent by construction.
     """
     return _reduce_terms(as_index_sum(a))
-
-
-def clear_cache() -> None:
-    _pi_plus_index.cache_clear()

@@ -4,12 +4,12 @@ For an index (k_1, ..., k_r) the attached power series has coefficients
 
     c_n = sum over 0 < n_1 < ... < n_r = n of prod n_i^{-k_i}
 
-and the truncated harmonic sum relaxes n_r = n to n_r <= N. Both are
-computed by prefix-sum dynamic programming in O(depth * N) operations, so
-they provide brute-force ground truth for the reduction map and both
-products without sharing any code with them.
+and the truncated harmonic sum relaxes n_r = n to n_r <= N, so it is
+c_0 + ... + c_N. One prefix-sum dynamic program computes c_0..c_N in
+O(depth * N) operations; it provides brute-force ground truth for the
+reduction map and both products without sharing any code with them.
 
-The dynamic programs run on Python integers only. With L = lcm(1..N) and
+The dynamic program runs on Python integers only. With L = lcm(1..N) and
 P(k) the sum of the positive entries of k, every n <= N divides L, so
 n^{-k_i} = (L/n)^{k_i} / L^{k_i} for k_i > 0 and c_n(k) * L^{P(k)} and
 H_N(k) * L^{P(k)} are integers; each stage multiplies by the integer
@@ -48,9 +48,6 @@ __all__ = [
     "zeta_real_approx",
 ]
 
-_ZERO = Fraction(0)
-
-
 @dataclass(frozen=True)
 class SeriesPoly:
     """A power series truncated at a fixed order, with exact coefficients
@@ -66,32 +63,17 @@ class SeriesPoly:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def _check(self, other: "SeriesPoly") -> None:
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-
-    def __add__(self, other: "SeriesPoly") -> "SeriesPoly":
-        self._check(other)
-        return SeriesPoly(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "SeriesPoly") -> "SeriesPoly":
-        self._check(other)
-        return SeriesPoly(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __mul__(self, other: "SeriesPoly") -> "SeriesPoly":
         """Product truncated at the common order."""
-        self._check(other)
-        return SeriesPoly(tuple(_truncated_product(self.coeffs, other.coeffs, _ZERO)))
-
-    def scaled(self, factor: Fraction | int) -> "SeriesPoly":
-        c = Fraction(factor)
-        return SeriesPoly(tuple(c * a for a in self.coeffs))
+        if self.order != other.order:
+            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
+        return SeriesPoly(tuple(_truncated_product(self.coeffs, other.coeffs)))
 
 
-def _truncated_product(a, b, zero):
+def _truncated_product(a, b):
     """Coefficients of the product of two series of one order, truncated
-    at that order; ``zero`` sets the coefficient type."""
-    out = [zero] * len(a)
+    at that order."""
+    out = [0] * len(a)
     for i, x in enumerate(a):
         if not x:
             continue
@@ -122,8 +104,8 @@ def _stage_factors(entry: int, L: int, bound: int) -> list[int]:
     return [0] + [n ** (-entry) for n in range(1, bound + 1)]
 
 
-@lru_cache(maxsize=None)
-def _mpl_cached(k: Index, order: int) -> tuple[int, ...]:
+def _series_dp(k: Index, order: int) -> list[int]:
+    """c_n(k) * L^P(k) for n = 0..order, with L = lcm(1..order)."""
     # cur[n] after processing t entries = coefficient of the depth-t prefix
     # series at z^n times L^P(prefix); the depth-0 series is the constant 1.
     L = _lcm_upto(order)
@@ -138,7 +120,12 @@ def _mpl_cached(k: Index, order: int) -> tuple[int, ...]:
             if prefix:
                 nxt[n] = prefix * factors[n]
         cur = nxt
-    return tuple(cur)
+    return cur
+
+
+@lru_cache(maxsize=None)
+def _mpl_cached(k: Index, order: int) -> tuple[int, ...]:
+    return tuple(_series_dp(k, order))
 
 
 def mpl_coefficients(k: Index, order: int) -> SeriesPoly:
@@ -151,20 +138,10 @@ def mpl_coefficients(k: Index, order: int) -> SeriesPoly:
 
 @lru_cache(maxsize=None)
 def _harmonic_cached(k: Index, bound: int) -> int:
-    # cur[n] after processing t entries = truncated sum of the depth-t prefix
-    # with all summation variables <= n, times L^P(prefix); the empty
-    # product contributes 1.
-    L = _lcm_upto(bound)
-    cur = [1] * (bound + 1)
-    for entry in k:
-        factors = _stage_factors(entry, L, bound)
-        nxt = [0] * (bound + 1)
-        running = 0
-        for n in range(1, bound + 1):
-            running += factors[n] * cur[n - 1]
-            nxt[n] = running
-        cur = nxt
-    return cur[bound]
+    # H_N(k) = sum of c_n(k) over n <= N, at the same scale L^P(k); the
+    # series is recomputed rather than read from _mpl_cached, which would
+    # keep a tuple per (k, bound) alive for nothing
+    return sum(_series_dp(k, bound))
 
 
 def harmonic_sum(k: Index, bound: int) -> Fraction:
@@ -246,7 +223,7 @@ def verify_shuffle(k: Index, k2: Index, order: int) -> Report:
     _check_order(order)
     k, k2 = tuple(k), tuple(k2)
     L = _lcm_upto(order)
-    lhs = _truncated_product(_mpl_cached(k, order), _mpl_cached(k2, order), 0)
+    lhs = _truncated_product(_mpl_cached(k, order), _mpl_cached(k2, order))
     lhs_den = L ** (_positive_weight(k) + _positive_weight(k2))
     rhs, rhs_den = _series_combination(shuffle(k, k2), order, L)
     return _compare(lhs, lhs_den, rhs, rhs_den, order)

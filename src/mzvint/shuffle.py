@@ -29,16 +29,12 @@ from math import comb
 from .indices import Index, IndexSum, IndexSumLike, add_term, bilinear
 from .words import EMPTY_WORD, Blocks, index_from_word, word_from_index
 
-__all__ = ["shuffle", "clear_cache"]
+__all__ = ["shuffle"]
 
 # Expansion results keyed by the (sorted) argument pair; values are tuples of
 # (blocks, integer coefficient). Entries are only ever written complete, so a
 # racing reader sees either nothing or the final value.
 _MEMO: dict[tuple[Blocks, Blocks], tuple[tuple[Blocks, int], ...]] = {}
-
-
-def clear_cache() -> None:
-    _MEMO.clear()
 
 
 def _expand(bu: Blocks, bv: Blocks) -> tuple[tuple[Blocks, int], ...]:

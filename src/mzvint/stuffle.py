@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .indices import Index, IndexSum, IndexSumLike, add_term, bilinear
 
-__all__ = ["stuffle", "clear_cache"]
+__all__ = ["stuffle"]
 
 
 def _pair(k: Index, k2: Index) -> tuple[tuple[Index, int], ...]:
@@ -40,10 +40,6 @@ def _pair_sorted(k: Index, k2: Index) -> tuple[tuple[Index, int], ...]:
         for index, coeff in sub:
             add_term(out, index + (tail_entry,), coeff)
     return tuple(out.items())
-
-
-def clear_cache() -> None:
-    _pair_sorted.cache_clear()
 
 
 def stuffle(a: IndexSumLike, b: IndexSumLike) -> IndexSum:

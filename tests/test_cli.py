@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from mzvint.cli import MAX_EVAL_TERMS, IndexSyntaxError, main, parse_index
+from mzvint.cli import MAX_ENTRY, MAX_EVAL_TERMS, IndexSyntaxError, main, parse_index
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, *argv):
@@ -184,25 +190,6 @@ def test_verify_all_suites(capsys):
     ]
 
 
-def test_verify_jobs_deterministic(capsys):
-    serial = run_cli(
-        capsys, "verify", "--suite", "stuffle", "--cases", "24", "--seed", "11"
-    )
-    parallel = run_cli(
-        capsys,
-        "verify",
-        "--suite",
-        "stuffle",
-        "--cases",
-        "24",
-        "--seed",
-        "11",
-        "--jobs",
-        "2",
-    )
-    assert serial == parallel
-
-
 def test_verify_failure_exit_code(monkeypatch, capsys):
     import mzvint.cli as cli
 
@@ -216,36 +203,97 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert "FAIL forced failure" in out
 
 
-def test_env_var_sets_default_order(monkeypatch, capsys):
-    monkeypatch.setenv("MZVINT_ORDER", "25")
-    code, out, _ = run_cli(
-        capsys, "verify", "--suite", "reduction", "--cases", "10", "--seed", "2"
-    )
-    assert code == 0
-    assert out.strip() == "reduction: 10/10 pass"
-
-
-def test_env_var_rejects_garbage(monkeypatch, capsys):
-    monkeypatch.setenv("MZVINT_ORDER", "sixty")
-    code, out, err = run_cli(capsys, "verify", "--suite", "reduction", "--cases", "1")
-    assert code == 2
-    assert out == ""
-    assert err == "error: MZVINT_ORDER must be an integer, got 'sixty'\n"
-    monkeypatch.setenv("MZVINT_ORDER", "0")
-    code, _, err = run_cli(capsys, "verify", "--suite", "reduction", "--cases", "1")
-    assert code == 2
-    assert err == "error: MZVINT_ORDER must be >= 1, got 0\n"
-
-
-def test_env_var_read_only_by_verify(monkeypatch, capsys):
-    monkeypatch.setenv("MZVINT_ORDER", "abc")
-    code, out, err = run_cli(capsys, "m-index", "(1)")
-    assert code == 0 and err == ""
-    assert json.loads(out)["m"] == 0
-    # an explicit --order wins, so the variable is never parsed
+def test_verify_explicit_order(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "reduction", "--cases", "2", "--order", "8")
     assert code == 0
     assert out.strip() == "reduction: 2/2 pass"
+
+
+def test_verify_order_zero_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--cases", "1", "--order", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: truncation order must be >= 1, got 0\n"
+
+
+# FAIL lines of `verify --cases 3 --seed 0` with every check failing: the
+# corpus each seed draws and the labels it prints
+FORCED_FAILURES_SEED_0 = """\
+reduction: 0/3 pass
+  FAIL reduction (0,3) order=60
+  FAIL reduction (2,3) order=60
+  FAIL reduction (-2) order=60
+shuffle: 0/3 pass
+  FAIL shuffle (-3) () order=60
+  FAIL shuffle (2,-3) (0,-3,0) order=60
+  FAIL shuffle (1) (-3,-3,2) order=60
+stuffle: 0/3 pass
+  FAIL stuffle (-2) (2,-3) order=50
+  FAIL stuffle (1,3) (-2,3) order=50
+  FAIL stuffle (0) (-1,2) order=50
+homomorphism: 0/3 pass
+  FAIL homomorphism (1) (1,0)
+  FAIL homomorphism (0) (-1)
+  FAIL homomorphism (-2,3) ()
+m-formula: 0/3 pass
+  FAIL m-formula (-3,-1,-1) ()
+  FAIL m-formula (-4) (0,1)
+  FAIL m-formula (-2,-3) (-4)
+"""
+
+
+def test_verify_corpus_and_labels_pinned(monkeypatch, capsys):
+    import mzvint.cli as cli
+    from mzvint.series import Report
+
+    for name in ("verify_reduction", "verify_shuffle", "verify_stuffle"):
+        monkeypatch.setattr(cli, name, lambda *args: Report(False, 0, args[-1]))
+    for name in ("min_formula_holds", "is_homomorphic"):
+        monkeypatch.setattr(cli, name, lambda *args: False)
+    code, out, err = run_cli(capsys, "verify", "--cases", "3", "--seed", "0")
+    assert code == 1 and err == ""
+    assert out == FORCED_FAILURES_SEED_0
+    code, out, _ = run_cli(capsys, "verify", "--cases", "3", "--seed", "0", "--order", "9")
+    assert out == FORCED_FAILURES_SEED_0.replace("order=60", "order=9").replace("order=50", "order=9")
+    # a longer corpus reaches every depth and entry range of the suite table
+    code, out, _ = run_cli(capsys, "verify", "--cases", "40", "--seed", "0")
+    assert out.count("FAIL") == 200
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cdba8c22784a15e45731096af805c7c9d142c069322530d8335c092328d9423e"
+    )
+
+
+def test_cli_import_loads_no_process_pool():
+    code = (
+        "import sys, mzvint.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_entry_bound(monkeypatch, capsys):
+    import mzvint.cli as cli
+
+    code, out, _ = run_cli(capsys, "pi-plus", f"(1,-{MAX_ENTRY},2)")
+    assert code == 0 and json.loads(out)["terms"]
+
+    def never(*args):
+        raise AssertionError("computation reached past the entry bound")
+
+    monkeypatch.setattr(cli, "m_index", never)
+    monkeypatch.setattr(cli, "pi_plus", never)
+    code, out, err = run_cli(capsys, "m-index", f"({MAX_ENTRY + 1})")
+    assert code == 2 and out == ""
+    assert err == f"error: entry {MAX_ENTRY + 1} outside -{MAX_ENTRY}..{MAX_ENTRY} (at position 1)\n"
+    code, out, err = run_cli(capsys, "pi-plus", f"(1,-{MAX_ENTRY + 1},2)")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "(at position 3)" in err
+    assert parse_index(f"(1,-{MAX_ENTRY},2)") == (1, -MAX_ENTRY, 2)
+    # the cold CLI benchmark runs entries down to -63
+    assert MAX_ENTRY >= 63
 
 
 def test_verify_rejects_negative_cases(capsys):
