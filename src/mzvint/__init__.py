@@ -35,7 +35,7 @@ from .indices import (
     tail_index,
     weight,
 )
-from .rationals import _bernoulli_lower, bernoulli, binomial, format_rational, parse_rational
+from .rationals import _bernoulli_lower, bernoulli, format_rational, parse_rational
 from .reduction import _pi_plus_index, pi_plus, reduce_step
 from .relations import (
     NumericReport,
@@ -95,7 +95,6 @@ __all__ = [
     "SeriesPoly",
     "as_index_sum",
     "bernoulli",
-    "binomial",
     "classify",
     "clear_caches",
     "combination_series",

@@ -3,20 +3,20 @@
 Machine output is compact JSON with a fixed key order, so identical
 invocations are byte-identical; ``--pretty`` switches the sum-valued
 commands to a human-readable rendering. Exit codes: 0 on success, 1 when
-any verification check fails or on an internal error, 2 on usage errors.
+any verification check fails, on an internal error, or when the reader of
+stdout has closed it (silently, no traceback), 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
+import os
 import random
 import sys
 from typing import Sequence
 
 from .indices import (
-    AdmissibilityError,
     Index,
     IndexSum,
     INFINITY,
@@ -109,45 +109,21 @@ def _cmd_m_index(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    k = parse_index(args.index)
-    print(_dumps({"index": list(k), "classification": classify(k).value}))
-    return 0
-
-
-def _cmd_pi_plus(args: argparse.Namespace) -> int:
-    _print_sum(pi_plus(parse_index(args.index)), args.pretty)
-    return 0
-
-
-def _cmd_shuffle(args: argparse.Namespace) -> int:
-    _print_sum(shuffle(parse_index(args.left), parse_index(args.right)), args.pretty)
-    return 0
-
-
-def _cmd_stuffle(args: argparse.Namespace) -> int:
-    _print_sum(stuffle(parse_index(args.left), parse_index(args.right)), args.pretty)
+def _cmd_sum(args: argparse.Namespace) -> int:
+    # look the op up when the command runs, so rebinding it here is seen
+    _print_sum(globals()[args.op](*map(parse_index, args.indices)), args.pretty)
     return 0
 
 
 def _cmd_relation(args: argparse.Namespace) -> int:
     rel = dsr_relation(parse_index(args.left), parse_index(args.right))
-    line = relation_json_line(rel)
-    # open before printing, so a bad path fails the command with no output
-    try:
-        out = open(args.out, "a", encoding="utf-8") if args.out else contextlib.nullcontext()
-    except OSError as exc:
-        raise ValueError(f"cannot open --out file {args.out!r}: {exc.strerror}") from None
-    with out:
-        if args.pretty:
-            print(f"pair: {format_index(rel.pair[0])} {format_index(rel.pair[1])}")
-            print(f"shuffle:    {rel.shuffle_expansion.pretty()}")
-            print(f"stuffle:    {rel.stuffle_expansion.pretty()}")
-            print(f"difference: {rel.difference.pretty()}")
-        else:
-            print(line)
-        if args.out:
-            out.write(line + "\n")
+    if args.pretty:
+        print(f"pair: {format_index(rel.pair[0])} {format_index(rel.pair[1])}")
+        print(f"shuffle:    {rel.shuffle_expansion.pretty()}")
+        print(f"stuffle:    {rel.stuffle_expansion.pretty()}")
+        print(f"difference: {rel.difference.pretty()}")
+    else:
+        print(relation_json_line(rel))
     return 0
 
 
@@ -215,6 +191,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+# commands that print one sum: (command, op in this module, index names, help)
+SUM_COMMANDS = (
+    ("pi-plus", "pi_plus", ("index",), "reduce an index to positive-index form"),
+    ("shuffle", "shuffle", ("left", "right"), "shuffle product of two indices"),
+    ("stuffle", "stuffle", ("left", "right"), "stuffle product of two indices"),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -228,31 +211,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("index", help="index text, e.g. '(0,3)' or '()'")
     p.set_defaults(func=_cmd_m_index)
 
-    p = sub.add_parser("classify", help="print the admissibility classification")
-    p.add_argument("index")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("pi-plus", help="reduce an index to positive-index form")
-    p.add_argument("index")
-    p.add_argument("--pretty", action="store_true", help="human-readable sum output")
-    p.set_defaults(func=_cmd_pi_plus)
-
-    p = sub.add_parser("shuffle", help="shuffle product of two indices")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=_cmd_shuffle)
-
-    p = sub.add_parser("stuffle", help="stuffle product of two indices")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=_cmd_stuffle)
+    for command, op, names, help_text in SUM_COMMANDS:
+        p = sub.add_parser(command, help=help_text)
+        for name in names:
+            # not nargs: argparse (3.11) fails to report a missing tuple metavar
+            p.add_argument("indices", action="append", metavar=name)
+        p.add_argument("--pretty", action="store_true", help="human-readable sum output")
+        p.set_defaults(func=_cmd_sum, op=op)
 
     p = sub.add_parser("relation", help="emit the double-product relation for a pair")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--out", default=None, help="append the relation as one JSON line to this file")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_relation)
 
@@ -284,13 +253,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (IndexSyntaxError, AdmissibilityError, ValueError) as exc:
+        code = args.func(args)
+        if sys.stdout is not None:  # None when fd 1 was never open
+            sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         # a broken invariant (e.g. RecursionError): report it, no traceback
         print(f"internal error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout: exit 1 quietly; fd 1 goes to devnull so
+        # the interpreter's own flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -1,4 +1,4 @@
-"""Exact rational helpers: Bernoulli numbers, binomials, rational text forms.
+"""Exact rational helpers: Bernoulli numbers and rational text forms.
 
 Every value produced here is a :class:`fractions.Fraction` (arbitrary
 precision, normalized to lowest terms with positive denominator). Nothing in
@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import comb
 from typing import Literal
 
-__all__ = ["Sign", "bernoulli", "binomial", "format_rational", "parse_rational"]
+__all__ = ["Sign", "bernoulli", "format_rational", "parse_rational"]
 
 Sign = Literal["plus", "minus"]
 
@@ -47,19 +47,6 @@ def bernoulli(n: int, sign: Sign) -> Fraction:
     if n == 1 and sign == "plus":
         return -value
     return value
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k), extended so formulas with empty ranges
-    collapse silently: 0 for k > n and for every k < 0 (the k = -1 case is
-    the Kronecker-delta convention delta_{n,-1}, which vanishes on the
-    domain n >= 0).
-    """
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 def format_rational(value: Fraction | int) -> str:

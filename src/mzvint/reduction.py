@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Iterable
 
 from .indices import Index, IndexSum, IndexSumLike, add_term, as_index_sum
-from .rationals import bernoulli, binomial
+from .rationals import bernoulli
 
 __all__ = ["reduce_step", "pi_plus"]
 
@@ -43,7 +44,7 @@ def _reduce_at(k: Index, m: int) -> list[tuple[Index, Fraction]]:
     inv = Fraction(1, n + 1)
     terms: list[tuple[Index, Fraction]] = []
     for i in range(n + 1):
-        coeff = inv * binomial(n + 1, i) * bernoulli(i, "minus")
+        coeff = inv * comb(n + 1, i) * bernoulli(i, "minus")
         if coeff:
             merged_up = k[: m - 1] + (k[m] + km - 1 + i,) + k[m + 1 :]
             terms.append((merged_up, coeff))
@@ -51,7 +52,7 @@ def _reduce_at(k: Index, m: int) -> list[tuple[Index, Fraction]]:
         terms.append((k[: m - 1] + k[m:], Fraction(-1)))
     if m >= 2:
         for i in range(n + 1):
-            coeff = -inv * binomial(n + 1, i) * bernoulli(i, "plus")
+            coeff = -inv * comb(n + 1, i) * bernoulli(i, "plus")
             if coeff:
                 merged_down = k[: m - 2] + (k[m - 2] + km - 1 + i,) + k[m:]
                 terms.append((merged_down, coeff))

@@ -12,8 +12,10 @@ in fixed priority order:
            (and its mirror image when the run is on the right factor)
 * j-rule:  ju # jv = j(u # jv) + j(ju # v)
 
-Fully reduced terms that do not end in y span an ideal and are discarded as
-they appear; the surviving terms all end in y and map back to indices.
+The quotient by the terms that do not end in y never has to act: both
+factors end in y, at least one is not empty, and every rule edits only the
+first block, so every term of the product ends in y and maps back to an
+index (``index_from_word`` raises on any other word).
 Arguments are put in a canonical order first, which makes the procedure
 symmetric and lets the memo table use an unordered pair as its key. On
 random pairs the recursion has never gone more than one level deeper than
@@ -74,8 +76,7 @@ def _expand(bu: Blocks, bv: Blocks) -> tuple[tuple[Blocks, int], ...]:
         for blocks, coeff in _expand(bu, (hv - 1,) + bv[1:]):
             add_term(out, (blocks[0] + 1,) + blocks[1:], coeff)
 
-    # Quotient step: drop reduced terms that do not end in y.
-    result = tuple((blocks, coeff) for blocks, coeff in out.items() if blocks[-1] == 0)
+    result = tuple(out.items())
     _MEMO[key] = result
     return result
 

@@ -13,6 +13,7 @@ import pytest
 from mzvint.cli import MAX_ENTRY, MAX_EVAL_TERMS, IndexSyntaxError, main, parse_index
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
 
 
 def run_cli(capsys, *argv):
@@ -47,21 +48,19 @@ def test_parse_index_errors_carry_positions():
 
 
 def test_m_index_command(capsys):
-    code, out, _ = run_cli(capsys, "m-index", "(0,3)")
-    assert code == 0
-    assert json.loads(out) == {"index": [0, 3], "m": 1, "classification": "admissible"}
+    for text, expected in (
+        ("(0,3)", {"index": [0, 3], "m": 1, "classification": "admissible"}),
+        ("(1)", {"index": [1], "m": 0, "classification": "regularizable_only"}),
+    ):
+        code, out, _ = run_cli(capsys, "m-index", text)
+        assert code == 0
+        assert json.loads(out) == expected
 
 
 def test_m_index_empty_index(capsys):
     code, out, _ = run_cli(capsys, "m-index", "()")
     assert code == 0
     assert json.loads(out) == {"index": [], "m": "inf", "classification": "admissible"}
-
-
-def test_classify_command(capsys):
-    code, out, _ = run_cli(capsys, "classify", "(1)")
-    assert code == 0
-    assert json.loads(out)["classification"] == "regularizable_only"
 
 
 def test_pi_plus_command_machine_output(capsys):
@@ -108,24 +107,56 @@ def test_relation_command_difference(capsys):
     ]
 
 
-def test_relation_out_appends_jsonl(tmp_path, capsys):
-    target = tmp_path / "relations.jsonl"
-    run_cli(capsys, "relation", "(2)", "(3)", "--out", str(target))
-    run_cli(capsys, "relation", "(2)", "(2)", "--out", str(target))
-    lines = target.read_text().splitlines()
-    assert len(lines) == 2
-    assert json.loads(lines[0])["pair"] == [[2], [3]]
-    assert json.loads(lines[1])["pair"] == [[2], [2]]
+def test_usage_lines(capsys):
+    for argv, usage in (
+        (["m-index"], "usage: mzvint m-index [-h] index"),
+        (["pi-plus"], "usage: mzvint pi-plus [-h] [--pretty] index"),
+        (["shuffle", "(1)"], "usage: mzvint shuffle [-h] [--pretty] left right"),
+        (["stuffle", "(1)"], "usage: mzvint stuffle [-h] [--pretty] left right"),
+        (["relation", "(1)"], "usage: mzvint relation [-h] [--pretty] left right"),
+    ):
+        with pytest.raises(SystemExit) as info:
+            main([argv[0], "-h"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.splitlines()[0] == usage
+        # a missing index is a usage error that names it
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        missing = usage.split()[-1]
+        assert capsys.readouterr().err == (
+            f"{usage}\nmzvint {argv[0]}: error: the following arguments are required: {missing}\n"
+        )
 
 
-def test_relation_out_unwritable_path(tmp_path, capsys):
-    target = tmp_path / "missing" / "relations.jsonl"
-    code, out, err = run_cli(capsys, "relation", "(2)", "(3)", "--out", str(target))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: cannot open --out file")
-    assert err.count("\n") == 1
-    assert not target.exists()
+def test_sum_commands_look_up_their_op_when_run(monkeypatch, capsys):
+    import mzvint.cli as cli
+    from mzvint.indices import IndexSum
+
+    # the bench tracer rebinds these names in mzvint.cli
+    for name, result in (("pi_plus", (7,)), ("shuffle", (8,)), ("stuffle", (9,))):
+        monkeypatch.setattr(cli, name, lambda *ks, result=result: IndexSum.single(result + ks[-1]))
+    assert run_cli(capsys, "pi-plus", "(1)", "--pretty") == (0, "1·(7,1)\n", "")
+    assert run_cli(capsys, "shuffle", "(2)", "(3)", "--pretty") == (0, "1·(8,3)\n", "")
+    code, out, _ = run_cli(capsys, "stuffle", "(2)", "(4)")
+    assert code == 0 and out == '{"terms":[{"coeff":"1","index":[9,4]}]}\n'
+
+
+@pytest.mark.parametrize(
+    "argv", [("m-index", "(1)"), ("shuffle", "(1,-100,2)", "(3)")], ids=["short", "long"]
+)
+def test_closed_stdout_exits_1_silently(argv):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mzvint.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=ENV,
+    )
+    # the read end closes long before the child has started up and written
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert err == b""
 
 
 def test_eval_command(capsys):
@@ -268,8 +299,7 @@ def test_cli_import_loads_no_process_pool():
         "import sys, mzvint.cli; "
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
 

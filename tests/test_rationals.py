@@ -1,4 +1,4 @@
-"""Bernoulli numbers, binomials, and power-sum polynomials."""
+"""Bernoulli numbers, power-sum polynomials, and rational text forms."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from mzvint.rationals import bernoulli, binomial, format_rational, parse_rational
+from mzvint.rationals import bernoulli, format_rational, parse_rational
 from mzvint.reduction import reduce_step
 
 
@@ -82,27 +82,6 @@ def test_bernoulli_memoization_transparent():
     with ThreadPoolExecutor(max_workers=8) as pool:
         concurrent = list(pool.map(lambda n: bernoulli(n, "minus"), range(40)))
     assert concurrent == first
-
-
-def test_binomial_standard():
-    assert binomial(4, 2) == 6
-    from math import comb
-
-    for n in range(0, 12):
-        for k in range(0, n + 1):
-            assert binomial(n, k) == comb(n, k)
-
-
-def test_binomial_out_of_range():
-    assert binomial(3, 5) == 0
-    assert binomial(3, -1) == 0
-    assert binomial(0, -1) == 0
-    assert binomial(5, -7) == 0
-
-
-def test_binomial_rejects_negative_n():
-    with pytest.raises(ValueError):
-        binomial(-2, 1)
 
 
 # Power sums as polynomials in their upper limit m (Faulhaber's formula), read
