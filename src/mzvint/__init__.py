@@ -11,9 +11,9 @@ The names exported here are the whole public surface: the index core and
 its sparse Q-linear combinations (``IndexSum``), the positive reduction,
 the two products, the relations and the oracles that certify them, and the
 Bernoulli numbers and rational text forms they rest on; ``clear_caches``
-empties every memo table. The word encoding behind the shuffle product
-(``mzvint.words``), the shared checks (``mzvint.relations``) and the
-command line (``mzvint.cli``) stay in their modules.
+empties every memo table. The word encoding (``mzvint.shuffle``), the
+shared checks (``mzvint.relations``) and the command line (``mzvint.cli``)
+stay in their modules.
 """
 
 from .indices import (
@@ -35,7 +35,7 @@ from .indices import (
     tail_index,
     weight,
 )
-from .rationals import _bernoulli_lower, bernoulli, format_rational, parse_rational
+from .rationals import _bernoulli_lower, bernoulli, format_rational
 from .reduction import _pi_plus_index, pi_plus, reduce_step
 from .relations import (
     NumericReport,
@@ -109,7 +109,6 @@ __all__ = [
     "m_index",
     "m_of_sum",
     "mpl_coefficients",
-    "parse_rational",
     "pi_plus",
     "reduce_step",
     "relation_json_dict",

@@ -3,8 +3,9 @@
 Machine output is compact JSON with a fixed key order, so identical
 invocations are byte-identical; ``--pretty`` switches the sum-valued
 commands to a human-readable rendering. Exit codes: 0 on success, 1 when
-any verification check fails, on an internal error, or when the reader of
-stdout has closed it (silently, no traceback), 2 on usage errors.
+any verification check fails, on an internal error, or when stdout is
+closed (by its reader, or never open; silently, no traceback), 2 on usage
+errors, among them an index over ``MAX_ENTRY`` or ``MAX_LETTERS``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ MAX_EVAL_TERMS = 1_000_000
 # |entry| bound of parsed indices: the Bernoulli recurrence behind pi-plus and
 # the shuffle recursion both grow steeply with the largest entry
 MAX_ENTRY = 100
+# letters of an index's word (depth + sum of |k_i|), which bound the recursion
+MAX_LETTERS = 120
 
 
 class IndexSyntaxError(ValueError):
@@ -53,7 +56,8 @@ def parse_index(text: str) -> Index:
     """Parse ``"(k1,k2,...)"`` (``"()"`` for the empty index).
 
     Spaces around entries are allowed and the Unicode minus sign is accepted
-    alongside the ASCII hyphen. Every entry must lie in -MAX_ENTRY..MAX_ENTRY.
+    alongside the ASCII hyphen. Every entry must lie in -MAX_ENTRY..MAX_ENTRY,
+    and the index may have at most MAX_LETTERS letters (depth + sum of |k_i|).
     """
     s = text.strip()
     offset = text.index(s) if s else 0
@@ -65,6 +69,7 @@ def parse_index(text: str) -> Index:
     if not inner.strip():
         return ()
     entries: list[int] = []
+    letters = 0
     chunk_start = offset + 1
     for chunk in inner.split(","):
         token = chunk.strip()
@@ -77,6 +82,9 @@ def parse_index(text: str) -> Index:
             raise IndexSyntaxError(f"not an integer: {token!r}", position) from None
         if abs(entry) > MAX_ENTRY:
             raise IndexSyntaxError(f"entry {entry} outside -{MAX_ENTRY}..{MAX_ENTRY}", position)
+        letters += 1 + abs(entry)
+        if letters > MAX_LETTERS:
+            raise IndexSyntaxError(f"index over {MAX_LETTERS} letters (depth + sum |k_i|)", position)
         entries.append(entry)
         chunk_start += len(chunk) + 1
     return tuple(entries)
@@ -158,30 +166,26 @@ def _sample_index(rng: random.Random, max_depth: int, lo: int, hi: int) -> Index
     return tuple(rng.randint(lo, hi) for _ in range(rng.randint(0, max_depth)))
 
 
-def _run_case(case: tuple) -> tuple[bool, str]:
-    suite, ks, order = case
-    check = globals()[SUITES[suite][4]]
-    label = " ".join([suite, *map(format_index, ks)])
-    if order is None:
-        return all(check(product, *ks) for product in (shuffle, stuffle)), label
-    return check(*ks, order).passed, f"{label} order={order}"
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.cases < 0:
         raise ValueError(f"--cases must be >= 0, got {args.cases}")
     any_failed = False
     for suite in SUITES if args.suite == "all" else (args.suite,):
-        per_case, max_depth, lo, hi, _, order = SUITES[suite]
+        per_case, max_depth, lo, hi, check_name, order = SUITES[suite]
         if order is not None and args.order is not None:
             order = args.order
         rng = random.Random(f"{args.seed}:{suite}")
-        cases = [
-            (suite, tuple(_sample_index(rng, max_depth, lo, hi) for _ in range(per_case)), order)
-            for _ in range(args.cases)
-        ]
-        failures = [label for ok, label in map(_run_case, cases) if not ok]
-        print(f"{suite}: {len(cases) - len(failures)}/{len(cases)} pass")
+        failures = []
+        for _ in range(args.cases):
+            ks = tuple(_sample_index(rng, max_depth, lo, hi) for _ in range(per_case))
+            check = globals()[check_name]
+            label = " ".join([suite, *map(format_index, ks)])
+            if order is None:
+                if not all(check(product, *ks) for product in (shuffle, stuffle)):
+                    failures.append(label)
+            elif not check(*ks, order).passed:
+                failures.append(f"{label} order={order}")
+        print(f"{suite}: {args.cases - len(failures)}/{args.cases} pass")
         for label in failures:
             print(f"  FAIL {label}")
         any_failed = any_failed or bool(failures)
@@ -203,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mzvint",
         description="Exact double-shuffle algebra for multiple zeta values of integer indices. "
-        f"Index entries must satisfy |k_i| <= {MAX_ENTRY}.",
+        f"Indices must satisfy |k_i| <= {MAX_ENTRY} and depth + sum |k_i| <= {MAX_LETTERS}.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -252,10 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if sys.stdout is None:  # fd 1 was never open: the output could not go out
+        return 1
     try:
         code = args.func(args)
-        if sys.stdout is not None:  # None when fd 1 was never open
-            sys.stdout.flush()  # a closed stdout fails here, not at exit
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Union
 
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational
 
 __all__ = [
     "Index",
@@ -254,13 +254,6 @@ class IndexSum:
                 for index, coeff in self.terms()
             ]
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "IndexSum":
-        terms = []
-        for item in data["terms"]:
-            terms.append((tuple(int(e) for e in item["index"]), parse_rational(item["coeff"])))
-        return cls(terms)
 
 
 def m_of_sum(s: IndexSum) -> int | float:

@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import comb
 from typing import Literal
 
-__all__ = ["Sign", "bernoulli", "format_rational", "parse_rational"]
+__all__ = ["Sign", "bernoulli", "format_rational"]
 
 Sign = Literal["plus", "minus"]
 
@@ -55,11 +55,3 @@ def format_rational(value: Fraction | int) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`format_rational`; accepts ``"p"`` and ``"p/q"``."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational literal: {text!r}") from exc

@@ -1,7 +1,15 @@
 """Shuffle product on integer indices via recursive word rewriting.
 
-The recursion works on words ending in y (plus the empty word) and applies,
-in fixed priority order:
+A word over the letters {j, d, y} modulo the cancellation jd = dj = 1 is
+stored as its exponent blocks ``(a_1, ..., a_s)``, meaning
+``j^{a_1} y j^{a_2} y ... y j^{a_s}``, where a negative exponent is a run
+of d. Cancellation adds exponents, so a blocks tuple is a normal form; the
+empty word is ``(0,)``. Words ending in y (last block zero) are in
+bijection with integer indices: the word of ``(k_1, ..., k_r)`` is
+``j^{k_r} y j^{k_{r-1}} y ... j^{k_1} y``, so prepending j raises the last
+entry, d lowers it and y appends a zero entry.
+
+The recursion applies, in fixed priority order:
 
 * unit:    1 # w = w # 1 = w
 * y-rule:  a leading y on either factor is pulled out front,
@@ -12,16 +20,16 @@ in fixed priority order:
            (and its mirror image when the run is on the right factor)
 * j-rule:  ju # jv = j(u # jv) + j(ju # v)
 
-The quotient by the terms that do not end in y never has to act: both
+The quotient by the words that do not end in y never has to act: both
 factors end in y, at least one is not empty, and every rule edits only the
-first block, so every term of the product ends in y and maps back to an
-index (``index_from_word`` raises on any other word).
-Arguments are put in a canonical order first, which makes the procedure
-symmetric and lets the memo table use an unordered pair as its key. On
-random pairs the recursion has never gone more than one level deeper than
-the two words have letters together (the tests check this), so it needs
-no budget of its own; inputs beyond CPython's frame limit end in a
-RecursionError.
+first block, so every term ends in y (``index_from_word`` raises on any
+other word). Arguments are put in a canonical order first (the smaller
+blocks tuple on the left; the output depends on this order), which makes
+the procedure symmetric and lets the memo table use an unordered pair as
+its key. On random pairs the recursion has never gone more than one level
+deeper than the two words have letters (the tests check this), so it needs
+no budget of its own; ``MAX_LETTERS`` in ``mzvint.cli`` keeps command-line
+input below CPython's frame limit.
 """
 
 from __future__ import annotations
@@ -29,9 +37,24 @@ from __future__ import annotations
 from math import comb
 
 from .indices import Index, IndexSum, IndexSumLike, add_term, bilinear
-from .words import EMPTY_WORD, Blocks, index_from_word, word_from_index
 
-__all__ = ["shuffle"]
+__all__ = ["Blocks", "EMPTY_WORD", "word_from_index", "index_from_word", "shuffle"]
+
+Blocks = tuple[int, ...]
+EMPTY_WORD: Blocks = (0,)
+
+
+def word_from_index(k: Index) -> Blocks:
+    """The word of an index: the entries reversed, then a final zero block."""
+    return tuple(k)[::-1] + (0,)
+
+
+def index_from_word(w: Blocks) -> Index:
+    """Inverse of :func:`word_from_index`; raises on a word not ending in y."""
+    if w[-1] != 0:
+        raise ValueError(f"word {w} does not end in y and has no index")
+    return w[-2::-1]
+
 
 # Expansion results keyed by the (sorted) argument pair; values are tuples of
 # (blocks, integer coefficient). Entries are only ever written complete, so a

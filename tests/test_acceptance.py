@@ -20,7 +20,7 @@ from mzvint.relations import dsr_relation, is_homomorphic, min_formula_holds, ve
 from mzvint.series import verify_reduction, verify_shuffle, verify_stuffle, zeta_real_approx
 from mzvint.shuffle import shuffle
 from mzvint.stuffle import stuffle
-from mzvint.words import index_from_word, word_from_index
+from mzvint.shuffle import index_from_word, word_from_index
 
 ZETA_2 = math.pi**2 / 6
 ZETA_3 = 1.2020569031595942854

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from mzvint.cli import MAX_ENTRY, MAX_EVAL_TERMS, IndexSyntaxError, main, parse_index
+from mzvint.cli import MAX_ENTRY, MAX_EVAL_TERMS, MAX_LETTERS, IndexSyntaxError, main, parse_index
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
@@ -159,6 +159,17 @@ def test_closed_stdout_exits_1_silently(argv):
     assert err == b""
 
 
+def test_unopened_stdout_exits_1_silently():
+    # `>&-`: fd 1 is not open at all, so the interpreter has no sys.stdout
+    result = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "mzvint.cli", "m-index", "(1)"],
+        stderr=subprocess.PIPE,
+        env=ENV,
+    )
+    assert result.returncode == 1
+    assert result.stderr == b""
+
+
 def test_eval_command(capsys):
     code, out, _ = run_cli(capsys, "eval", "(2)", "--terms", "20000")
     assert code == 0
@@ -219,19 +230,6 @@ def test_verify_all_suites(capsys):
         "homomorphism: 15/15 pass",
         "m-formula: 15/15 pass",
     ]
-
-
-def test_verify_failure_exit_code(monkeypatch, capsys):
-    import mzvint.cli as cli
-
-    def always_fail(case):
-        return False, "forced failure"
-
-    monkeypatch.setattr(cli, "_run_case", always_fail)
-    code, out, _ = run_cli(capsys, "verify", "--suite", "stuffle", "--cases", "3")
-    assert code == 1
-    assert "0/3 pass" in out
-    assert "FAIL forced failure" in out
 
 
 def test_verify_explicit_order(capsys):
@@ -324,6 +322,50 @@ def test_entry_bound(monkeypatch, capsys):
     assert parse_index(f"(1,-{MAX_ENTRY},2)") == (1, -MAX_ENTRY, 2)
     # the cold CLI benchmark runs entries down to -63
     assert MAX_ENTRY >= 63
+
+
+def test_letter_bound(monkeypatch, capsys):
+    import mzvint.cli as cli
+
+    def text(k):
+        return "(" + ",".join(map(str, k)) + ")"
+
+    def letters(k):
+        return len(k) + sum(map(abs, k))
+
+    ones = (MAX_LETTERS - 5) // 2
+    # the deepest recursion of each sum command, at the cap
+    at_cap = (
+        ("stuffle", (0,) * MAX_LETTERS, (0,) * MAX_LETTERS),
+        ("pi-plus", (1,) * ones + (-1, 2)),
+        ("shuffle", (100, MAX_LETTERS - 102), (2,)),
+    )
+    over_cap = (
+        ("stuffle", (0,) * (MAX_LETTERS + 1), (0,)),
+        ("pi-plus", (1,) * (ones + 1) + (-1, 2)),
+        ("shuffle", (100, MAX_LETTERS - 101), (2,)),
+        ("stuffle", (1,) * 1200, (1,)),
+        ("shuffle", (50,) * 30, (2,)),
+        ("pi-plus", (1,) * 397 + (-1, 2)),
+    )
+    for command, *ks in at_cap:
+        assert max(map(letters, ks)) >= MAX_LETTERS - 1
+        code, out, err = run_cli(capsys, command, *map(text, ks))
+        assert code == 0 and err == "" and json.loads(out)["terms"], command
+
+    def never(*args):
+        raise AssertionError("computation reached past the letter bound")
+
+    for name in ("pi_plus", "shuffle", "stuffle"):
+        monkeypatch.setattr(cli, name, never)
+    for command, *ks in over_cap:
+        assert max(map(letters, ks)) > MAX_LETTERS
+        code, out, err = run_cli(capsys, command, *map(text, ks))
+        assert code == 2 and out == "", command
+        assert err.startswith(f"error: index over {MAX_LETTERS} letters")
+        assert err.count("\n") == 1
+    # the README's and CI's (1,-100,2) stays valid
+    assert letters((1, -MAX_ENTRY, 2)) <= MAX_LETTERS
 
 
 def test_verify_rejects_negative_cases(capsys):

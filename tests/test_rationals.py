@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from mzvint.rationals import bernoulli, format_rational, parse_rational
+from mzvint.rationals import bernoulli, format_rational
 from mzvint.reduction import reduce_step
 
 
@@ -141,10 +141,3 @@ def test_rational_serialization():
     assert format_rational(Fraction(-3, 4)) == "-3/4"
     assert format_rational(Fraction(5)) == "5"
     assert format_rational(7) == "7"
-    assert parse_rational("1/2") == Fraction(1, 2)
-    assert parse_rational("-3") == Fraction(-3)
-    assert parse_rational(" 6/4 ") == Fraction(3, 2)
-    with pytest.raises(ValueError):
-        parse_rational("1/0")
-    with pytest.raises(ValueError):
-        parse_rational("one half")

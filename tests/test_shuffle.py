@@ -14,7 +14,6 @@ from mzvint.indices import IndexSum, m_index, m_of_sum
 from mzvint.reduction import pi_plus
 from mzvint.series import combination_series, mpl_coefficients, verify_shuffle
 from mzvint.shuffle import shuffle
-from mzvint.words import length, word_from_index
 
 
 def euler_product(a: int, b: int) -> IndexSum:
@@ -309,5 +308,6 @@ def test_expand_depth_within_letters_plus_one(monkeypatch):
         clear_caches()  # a warm memo would skip the recursion
         peak = 0
         shuffle(k, k2)
-        assert peak <= length(word_from_index(k)) + length(word_from_index(k2)) + 1, (k, k2)
+        letters = len(k) + sum(map(abs, k)) + len(k2) + sum(map(abs, k2))
+        assert peak <= letters + 1, (k, k2)
     clear_caches()
