@@ -19,7 +19,6 @@ from typing import Sequence
 
 from .indices import (
     Index,
-    IndexSum,
     INFINITY,
     classify,
     format_index,
@@ -37,7 +36,7 @@ DEFAULT_SERIES_ORDER = 60
 DEFAULT_HARMONIC_ORDER = 50
 # eval keeps two float lists of --terms + 1 entries (about 75 MB at this bound)
 MAX_EVAL_TERMS = 1_000_000
-# |entry| bound of parsed indices: the Bernoulli recurrence behind pi-plus and
+# |entry| bound of parsed indices: the positive reduction behind pi-plus and
 # the shuffle recursion both grow steeply with the largest entry
 MAX_ENTRY = 100
 # letters of an index's word (depth + sum of |k_i|), which bound the recursion
@@ -94,23 +93,16 @@ def _dumps(payload: object) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-def _print_sum(s: IndexSum, pretty: bool) -> None:
-    print(s.pretty() if pretty else _dumps(s.to_json_dict()))
-
-
-def _m_json(value: int | float) -> int | str:
-    return "inf" if value == INFINITY else int(value)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_m_index(args: argparse.Namespace) -> int:
     k = parse_index(args.index)
+    m = m_index(k)
     payload = {
         "index": list(k),
-        "m": _m_json(m_index(k)),
+        "m": "inf" if m == INFINITY else int(m),
         "classification": classify(k).value,
     }
     print(_dumps(payload))
@@ -119,7 +111,8 @@ def _cmd_m_index(args: argparse.Namespace) -> int:
 
 def _cmd_sum(args: argparse.Namespace) -> int:
     # look the op up when the command runs, so rebinding it here is seen
-    _print_sum(globals()[args.op](*map(parse_index, args.indices)), args.pretty)
+    s = globals()[args.op](*map(parse_index, args.indices))
+    print(s.pretty() if args.pretty else _dumps(s.to_json_dict()))
     return 0
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "format_index",
     "IndexSum",
     "add_term",
+    "integer_sum",
     "bilinear",
     "m_of_sum",
     "as_index_sum",
@@ -79,8 +80,6 @@ def m_index(k: Index) -> int | float:
 
     Returns :data:`INFINITY` for the empty index.
     """
-    if not k:
-        return INFINITY
     best: int | float = INFINITY
     acc = 0
     for entry in reversed(k):
@@ -119,10 +118,6 @@ def format_index(k: Index) -> str:
     return "(" + ",".join(str(e) for e in k) + ")"
 
 
-def _canonical_key(k: Index) -> tuple[int, Index]:
-    return (len(k), k)
-
-
 TermsLike = Union[Mapping[Index, Fraction], Iterable[tuple[Index, Fraction]]]
 
 
@@ -140,6 +135,23 @@ def add_term(data: dict, key: Hashable, coeff) -> None:
             data[key] = acc
         else:
             del data[key]
+
+
+def integer_sum(parts: Iterable[tuple[Fraction | int, int, Iterable]]) -> tuple[int, dict]:
+    """Sum over ``parts`` of scale/den times ``items``, (key, int) pairs, as a
+    new ``(D, {key: int})`` in lowest terms, D > 0: ints over one common
+    denominator, one gcd at the end. The algebra's one rational accumulation."""
+    parts = [(scale.numerator, scale.denominator * den, items) for scale, den, items in parts]
+    common = math.lcm(*(den for _, den, _ in parts))
+    acc: dict = {}
+    for num, den, items in parts:
+        factor = num * (common // den)
+        for key, coeff in items:
+            add_term(acc, key, factor * coeff)
+    g = math.gcd(common, *acc.values())
+    if g > 1:
+        acc = {key: coeff // g for key, coeff in acc.items()}
+    return common // g, acc
 
 
 class IndexSum:
@@ -170,6 +182,13 @@ class IndexSum:
         return cls(((tuple(index), Fraction(coeff)),))
 
     @classmethod
+    def _over(cls, den: int, nums: dict[Index, int]) -> "IndexSum":
+        # takes nums over: its int numerators become Fractions in place
+        for index, num in nums.items():
+            nums[index] = Fraction(num, den)
+        return cls._from_clean(nums)
+
+    @classmethod
     def _from_clean(cls, data: dict[Index, Fraction]) -> "IndexSum":
         # Fast path for internal callers: data must already be pruned of zeros.
         out = cls()
@@ -178,7 +197,7 @@ class IndexSum:
 
     def terms(self) -> list[tuple[Index, Fraction]]:
         """Terms in canonical order: by depth, then lexicographically."""
-        return sorted(self._terms.items(), key=lambda item: _canonical_key(item[0]))
+        return sorted(self._terms.items(), key=lambda item: (len(item[0]), item[0]))
 
     def support(self) -> frozenset[Index]:
         return frozenset(self._terms)
@@ -280,11 +299,7 @@ def bilinear(a: IndexSumLike, b: IndexSumLike, pair_terms: PairTerms) -> IndexSu
     sum over the terms ca*k of ``a`` and cb*k2 of ``b`` of
     ca*cb*``pair_terms(k, k2)``, where ``pair_terms`` yields (index, integer
     coefficient) pairs."""
-    acc: dict[Index, Fraction] = {}
-    right = as_index_sum(b)._terms.items()
-    for k, ca in as_index_sum(a)._terms.items():
-        for k2, cb in right:
-            scale = ca * cb
-            for index, coeff in pair_terms(k, k2):
-                add_term(acc, index, scale * coeff)
-    return IndexSum._from_clean(acc)
+    # a bare index is one term with the int coefficient 1: no Fraction
+    left, right = (x._terms.items() if isinstance(x, IndexSum) else ((tuple(x), 1),) for x in (a, b))
+    parts = [(ca * cb, 1, pair_terms(k, k2)) for k, ca in left for k2, cb in right]
+    return IndexSum._over(*integer_sum(parts))

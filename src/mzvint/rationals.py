@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import factorial
 from typing import Literal
 
 __all__ = ["Sign", "bernoulli", "format_rational"]
@@ -20,13 +20,16 @@ Sign = Literal["plus", "minus"]
 
 @lru_cache(maxsize=None)
 def _bernoulli_lower(n: int) -> Fraction:
-    # "minus" convention (B_1 = -1/2), from sum_{j=0}^{m} C(m+1, j) B_j = [m == 0].
-    if n == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for j in range(n):
-        acc += comb(n + 1, j) * _bernoulli_lower(j)
-    return -acc / (n + 1)
+    # "minus" convention (B_1 = -1/2); B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from
+    # the integer tangent numbers T_k (Brent-Harvey 2011, algorithm TangentNumbers)
+    if n < 2 or n % 2:
+        return {0: Fraction(1), 1: Fraction(-1, 2)}.get(n, Fraction(0))
+    k = n // 2
+    t = [factorial(j) for j in range(k)]  # t[j] is T_(j+1) once every pass is done
+    for i in range(1, k):
+        for j in range(i, k):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return Fraction((-1) ** (k - 1) * n * t[-1], 4**k * (4**k - 1))
 
 
 def bernoulli(n: int, sign: Sign) -> Fraction:
@@ -43,15 +46,9 @@ def bernoulli(n: int, sign: Sign) -> Fraction:
         raise ValueError(f"Bernoulli index must be non-negative, got {n}")
     if sign not in ("plus", "minus"):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    value = _bernoulli_lower(n)
-    if n == 1 and sign == "plus":
-        return -value
-    return value
+    return Fraction(1, 2) if n == 1 and sign == "plus" else _bernoulli_lower(n)
 
 
 def format_rational(value: Fraction | int) -> str:
     """Serialize a rational as ``"p/q"`` in lowest terms, or ``"p"`` when q = 1."""
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(Fraction(value))

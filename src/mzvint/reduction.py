@@ -15,6 +15,9 @@ Iterating the step to its fixed point is a linear, idempotent projection:
 every output index has all entries before the last positive, the last entry
 is never rewritten, and the defining power-series identity is preserved
 exactly at every stage (module ``series`` verifies this coefficientwise).
+The image of each single index is cached as ``(den, ((index, num), ...))``
+in lowest terms with den > 0; a combination is summed in ints over the lcm
+of its denominators (``indices.integer_sum``), with Fractions for its output.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable
 
-from .indices import Index, IndexSum, IndexSumLike, add_term, as_index_sum
+from .indices import Index, IndexSum, IndexSumLike, as_index_sum, integer_sum
 from .rationals import bernoulli
 
 __all__ = ["reduce_step", "pi_plus"]
@@ -74,22 +76,13 @@ def reduce_step(k: Index) -> IndexSum:
     return IndexSum(_reduce_at(k, m))
 
 
-def _reduce_terms(terms: Iterable[tuple[Index, Fraction]]) -> IndexSum:
-    # Accumulates in place into one fresh dict; the cached sums it reads
-    # are never mutated.
-    acc: dict[Index, Fraction] = {}
-    for index, coeff in terms:
-        for reduced, c in _pi_plus_index(index)._terms.items():
-            add_term(acc, reduced, coeff * c)
-    return IndexSum._from_clean(acc)
-
-
 @lru_cache(maxsize=None)
-def _pi_plus_index(k: Index) -> IndexSum:
+def _pi_plus_index(k: Index) -> tuple[int, tuple[tuple[Index, int], ...]]:
     m = _reduction_position(k)
     if m is None:
-        return IndexSum.single(k)
-    return _reduce_terms(_reduce_at(k, m))
+        return 1, ((k, 1),)
+    den, nums = integer_sum((c, *_pi_plus_index(index)) for index, c in _reduce_at(k, m))
+    return den, tuple(nums.items())
 
 
 def pi_plus(a: IndexSumLike) -> IndexSum:
@@ -100,4 +93,4 @@ def pi_plus(a: IndexSumLike) -> IndexSum:
     themselves. Admissible input yields admissible positive support;
     regularizable input yields positive support. Idempotent by construction.
     """
-    return _reduce_terms(as_index_sum(a))
+    return IndexSum._over(*integer_sum((c, *_pi_plus_index(index)) for index, c in as_index_sum(a)))

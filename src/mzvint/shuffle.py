@@ -35,6 +35,7 @@ input below CPython's frame limit.
 from __future__ import annotations
 
 from math import comb
+from typing import Iterator
 
 from .indices import Index, IndexSum, IndexSumLike, add_term, bilinear
 
@@ -104,9 +105,10 @@ def _expand(bu: Blocks, bv: Blocks) -> tuple[tuple[Blocks, int], ...]:
     return result
 
 
-def _pair(k: Index, k2: Index) -> list[tuple[Index, int]]:
+def _pair(k: Index, k2: Index) -> Iterator[tuple[Index, int]]:
+    # lazy: bilinear gathers all pairs before summing, so a list would copy every memo entry
     terms = _expand(word_from_index(k), word_from_index(k2))
-    return [(index_from_word(blocks), coeff) for blocks, coeff in terms]
+    return ((index_from_word(blocks), coeff) for blocks, coeff in terms)
 
 
 def shuffle(a: IndexSumLike, b: IndexSumLike) -> IndexSum:

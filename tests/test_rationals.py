@@ -39,9 +39,18 @@ def test_bernoulli_small_values():
 
 
 def test_bernoulli_matches_triangle_oracle():
-    oracle = bernoulli_plus_oracle(30)
-    for n in range(31):
+    # B_0..B_101: past MAX_ENTRY = 100, the largest |entry| the command line accepts
+    oracle = bernoulli_plus_oracle(101)
+    for n in range(102):
         assert bernoulli(n, "plus") == oracle[n]
+
+
+def test_bernoulli_matches_sympy():
+    # sympy's B_1 is +1/2 (since sympy 1.12), so it is the plus family
+    sympy = pytest.importorskip("sympy", minversion="1.12")
+    for n in range(102):
+        expected = sympy.bernoulli(n)
+        assert bernoulli(n, "plus") == Fraction(int(expected.p), int(expected.q)), n
 
 
 def test_bernoulli_families_agree_except_at_one():

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from mzvint.indices import IndexSum, is_admissible, is_regularizable, m_index
-from mzvint.reduction import pi_plus, reduce_step
+from mzvint import clear_caches
+from mzvint.indices import IndexSum, add_term, is_admissible, is_regularizable, m_index
+from mzvint.reduction import _pi_plus_index, _reduce_at, _reduction_position, pi_plus, reduce_step
 from mzvint.series import verify_reduction
 from mzvint.shuffle import shuffle
 from mzvint.stuffle import stuffle
@@ -154,3 +156,78 @@ def test_memoization_transparent():
     second = pi_plus((0, -1, 0, 2))
     assert first == second
     assert first is not None and len(first) > 0
+
+
+# Reference: the Fraction accumulation that the integer one replaced, one
+# Fraction multiply and add per term. It shares the elimination step
+# (_reduce_at) with the engine; only the summation differs. Its memo is a
+# plain dict, so the test can list the indices it holds.
+_REFERENCE_MEMO: dict[tuple[int, ...], IndexSum] = {}
+
+
+def _reference_reduce_terms(terms) -> IndexSum:
+    acc: dict = {}
+    for index, coeff in terms:
+        for reduced, c in _reference_pi_plus_index(index):
+            add_term(acc, reduced, coeff * c)
+    return IndexSum(acc)
+
+
+def _reference_pi_plus_index(k: tuple[int, ...]) -> IndexSum:
+    if k not in _REFERENCE_MEMO:
+        m = _reduction_position(k)
+        if m is None:
+            _REFERENCE_MEMO[k] = IndexSum.single(k)
+        else:
+            _REFERENCE_MEMO[k] = _reference_reduce_terms(_reduce_at(k, m))
+    return _REFERENCE_MEMO[k]
+
+
+def _reference_pi_plus(a) -> IndexSum:
+    return _reference_reduce_terms(a if isinstance(a, IndexSum) else [(tuple(a), Fraction(1))])
+
+
+def test_pi_plus_matches_fraction_reference():
+    rng = random.Random(41)
+    indices = [tuple(rng.randint(-6, 6) for _ in range(rng.randint(0, 4))) for _ in range(300)]
+    combos = [
+        IndexSum(
+            (index, Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 12)))
+            for index in rng.sample(indices, rng.randint(1, 5))
+        )
+        for _ in range(40)
+    ]
+    # pi_plus((0, 3)) = (2) - (3), so these inputs have nonzero terms whose
+    # reductions cancel
+    cancelling = [
+        IndexSum([((0, 3), c), ((2,), -c), ((3,), c)]) for c in (Fraction(1), Fraction(-5, 6))
+    ]
+    clear_caches()
+    _REFERENCE_MEMO.clear()
+    for value in [*indices, *combos, IndexSum.zero(), *cancelling]:
+        expected = _reference_pi_plus(value)
+        got = pi_plus(value)
+        assert got == expected, value
+        assert all(type(c) is Fraction for _, c in got)
+    for value in [IndexSum.zero(), *cancelling]:
+        assert not pi_plus(value)
+
+
+def test_pi_plus_cache_entries_in_lowest_terms():
+    # every index the reference memo holds is one the engine's memo holds,
+    # since both recurse through the same elimination steps from a cold start
+    clear_caches()
+    _REFERENCE_MEMO.clear()
+    rng = random.Random(43)
+    for _ in range(100):
+        k = tuple(rng.randint(-6, 6) for _ in range(rng.randint(0, 4)))
+        assert pi_plus(k) == _reference_pi_plus(k)
+    info = _pi_plus_index.cache_info()
+    assert info.currsize == len(_REFERENCE_MEMO)
+    for k, reference in _REFERENCE_MEMO.items():
+        den, terms = _pi_plus_index(k)
+        assert isinstance(den, int) and den > 0
+        assert all(type(num) is int and num for _, num in terms)
+        assert math.gcd(den, *(num for _, num in terms)) == 1
+        assert IndexSum((index, Fraction(num, den)) for index, num in terms) == reference
+    assert _pi_plus_index.cache_info().misses == info.misses  # every lookup was a hit
