@@ -1,6 +1,8 @@
 """Integer indices and their formal rational linear combinations.
 
 An index is a plain tuple of integers; the empty tuple is the depth-0 index.
+A combination (``IndexSum``) is integer numerators over one denominator; all
+arithmetic on combinations adds ints over a common denominator (:func:`integer_sum`).
 The central classifier is the regularizability index: the minimum over all
 suffixes of (weight - depth). Indices with a positive (resp. non-negative)
 regularizability index are admissible (resp. regularizable).
@@ -12,8 +14,6 @@ import math
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Union
-
-from .rationals import format_rational
 
 __all__ = [
     "Index",
@@ -137,11 +137,12 @@ def add_term(data: dict, key: Hashable, coeff) -> None:
             del data[key]
 
 
-def integer_sum(parts: Iterable[tuple[Fraction | int, int, Iterable]]) -> tuple[int, dict]:
-    """Sum over ``parts`` of scale/den times ``items``, (key, int) pairs, as a
-    new ``(D, {key: int})`` in lowest terms, D > 0: ints over one common
-    denominator, one gcd at the end. The algebra's one rational accumulation."""
-    parts = [(scale.numerator, scale.denominator * den, items) for scale, den, items in parts]
+def integer_sum(parts: Iterable[tuple[int, int, Iterable]]) -> tuple[int, dict]:
+    """Sum over ``parts`` of num/den times ``items``, (key, int) pairs with
+    int ``num`` and den > 0, as a new ``(D, {key: int})`` in lowest terms,
+    D > 0: ints over one common denominator, one gcd at the end. The
+    algebra's one rational accumulation."""
+    parts = list(parts)
     common = math.lcm(*(den for _, den, _ in parts))
     acc: dict = {}
     for num, den, items in parts:
@@ -154,24 +155,30 @@ def integer_sum(parts: Iterable[tuple[Fraction | int, int, Iterable]]) -> tuple[
     return common // g, acc
 
 
+def _ratio_text(num: int, den: int) -> str:
+    """``format_rational(Fraction(num, den))`` without the Fraction."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 class IndexSum:
     """A finite formal Q-linear combination of indices.
 
-    Zero coefficients are pruned eagerly, so the stored key set is exactly
-    the support. Instances are immutable values: all arithmetic returns new
-    sums, and they are safe to share between threads.
+    Stored as ``_den`` > 0 and ``_nums`` = {index: nonzero int} with
+    gcd(_den, *_nums.values()) == 1: the keys are the support and equal sums
+    store equal ints. Coefficients are read out as Fractions. Instances are
+    immutable values: all arithmetic returns new sums, and they are safe to
+    share between threads.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_den", "_nums")
 
     def __init__(self, terms: TermsLike = ()) -> None:
-        data: dict[Index, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for index, coeff in items:
-            coeff = Fraction(coeff)
-            if coeff:
-                add_term(data, tuple(index), coeff)
-        self._terms = data
+        coeffs = [(tuple(index), Fraction(coeff)) for index, coeff in items]
+        self._den, self._nums = integer_sum(
+            (c.numerator, c.denominator, ((index, 1),)) for index, c in coeffs if c
+        )
 
     @classmethod
     def zero(cls) -> "IndexSum":
@@ -179,65 +186,64 @@ class IndexSum:
 
     @classmethod
     def single(cls, index: Index, coeff: Fraction | int = 1) -> "IndexSum":
-        return cls(((tuple(index), Fraction(coeff)),))
+        c = Fraction(coeff)
+        return cls._over(c.denominator, {tuple(index): c.numerator} if c else {})
 
     @classmethod
     def _over(cls, den: int, nums: dict[Index, int]) -> "IndexSum":
-        # takes nums over: its int numerators become Fractions in place
-        for index, num in nums.items():
-            nums[index] = Fraction(num, den)
-        return cls._from_clean(nums)
-
-    @classmethod
-    def _from_clean(cls, data: dict[Index, Fraction]) -> "IndexSum":
-        # Fast path for internal callers: data must already be pruned of zeros.
-        out = cls()
-        out._terms = data
+        # takes nums over; (den, nums) must already be in the stored form
+        out = cls.__new__(cls)
+        out._den, out._nums = den, nums
         return out
+
+    def _sorted_nums(self) -> list[tuple[Index, int]]:
+        return sorted(self._nums.items(), key=lambda item: (len(item[0]), item[0]))
 
     def terms(self) -> list[tuple[Index, Fraction]]:
         """Terms in canonical order: by depth, then lexicographically."""
-        return sorted(self._terms.items(), key=lambda item: (len(item[0]), item[0]))
+        return [(index, Fraction(num, self._den)) for index, num in self._sorted_nums()]
 
     def support(self) -> frozenset[Index]:
-        return frozenset(self._terms)
+        return frozenset(self._nums)
 
     def coefficient(self, index: Index) -> Fraction:
-        return self._terms.get(tuple(index), Fraction(0))
+        return Fraction(self._nums.get(tuple(index), 0), self._den)
 
     def __iter__(self) -> Iterator[tuple[Index, Fraction]]:
         """Terms in storage order; use :meth:`terms` for the canonical order."""
-        return iter(self._terms.items())
+        den = self._den
+        return ((index, Fraction(num, den)) for index, num in self._nums.items())
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._nums)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IndexSum):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._nums.items())))
+
+    def _scaled(self, num: int, den: int = 1) -> tuple[int, int, Iterable[tuple[Index, int]]]:
+        # this sum times num/den, as one part of integer_sum
+        return num, den * self._den, self._nums.items()
 
     def __add__(self, other: "IndexSum") -> "IndexSum":
         if not isinstance(other, IndexSum):
             return NotImplemented
-        out = dict(self._terms)
-        for index, coeff in other._terms.items():
-            add_term(out, index, coeff)
-        return IndexSum._from_clean(out)
+        return IndexSum._over(*integer_sum((self._scaled(1), other._scaled(1))))
 
     def __neg__(self) -> "IndexSum":
-        return IndexSum._from_clean({index: -coeff for index, coeff in self._terms.items()})
+        return IndexSum._over(*integer_sum((self._scaled(-1),)))
 
     def __sub__(self, other: "IndexSum") -> "IndexSum":
         if not isinstance(other, IndexSum):
             return NotImplemented
-        return self + (-other)
+        return IndexSum._over(*integer_sum((self._scaled(1), other._scaled(-1))))
 
     def __mul__(self, scalar: Fraction | int) -> "IndexSum":
         if isinstance(scalar, IndexSum):
@@ -245,23 +251,20 @@ class IndexSum:
         c = Fraction(scalar)
         if not c:
             return IndexSum.zero()
-        return IndexSum._from_clean({index: coeff * c for index, coeff in self._terms.items()})
+        return IndexSum._over(*integer_sum((self._scaled(c.numerator, c.denominator),)))
 
     __rmul__ = __mul__
 
     def pretty(self) -> str:
         """Human-readable rendering, e.g. ``1·(2) - 1·(3)``."""
-        if not self._terms:
+        if not self._nums:
             return "0"
-        parts: list[str] = []
-        for i, (index, coeff) in enumerate(self.terms()):
-            mag = format_rational(abs(coeff))
-            term = f"{mag}·{format_index(index)}"
-            if i == 0:
-                parts.append(term if coeff > 0 else f"-{term}")
-            else:
-                parts.append(("+ " if coeff > 0 else "- ") + term)
-        return " ".join(parts)
+        text = " ".join(
+            f"{'+' if num > 0 else '-'} {_ratio_text(abs(num), self._den)}·{format_index(index)}"
+            for index, num in self._sorted_nums()
+        )
+        # the leading term carries its sign without a space, and "+" not at all
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
         return f"IndexSum<{self.pretty()}>"
@@ -269,8 +272,8 @@ class IndexSum:
     def to_json_dict(self) -> dict:
         return {
             "terms": [
-                {"coeff": format_rational(coeff), "index": list(index)}
-                for index, coeff in self.terms()
+                {"coeff": _ratio_text(num, self._den), "index": list(index)}
+                for index, num in self._sorted_nums()
             ]
         }
 
@@ -278,7 +281,7 @@ class IndexSum:
 def m_of_sum(s: IndexSum) -> int | float:
     """Minimum of the regularizability index over the support; infinity for
     the zero sum (empty minimum, matching the empty index convention)."""
-    return min((m_index(index) for index in s._terms), default=INFINITY)
+    return min((m_index(index) for index in s._nums), default=INFINITY)
 
 
 IndexSumLike = Union[IndexSum, Index]
@@ -299,7 +302,9 @@ def bilinear(a: IndexSumLike, b: IndexSumLike, pair_terms: PairTerms) -> IndexSu
     sum over the terms ca*k of ``a`` and cb*k2 of ``b`` of
     ca*cb*``pair_terms(k, k2)``, where ``pair_terms`` yields (index, integer
     coefficient) pairs."""
-    # a bare index is one term with the int coefficient 1: no Fraction
-    left, right = (x._terms.items() if isinstance(x, IndexSum) else ((tuple(x), 1),) for x in (a, b))
-    parts = [(ca * cb, 1, pair_terms(k, k2)) for k, ca in left for k2, cb in right]
+    # a bare index is one term with numerator 1 over 1
+    (da, left), (db, right) = (
+        (x._den, x._nums.items()) if isinstance(x, IndexSum) else (1, ((tuple(x), 1),)) for x in (a, b)
+    )
+    parts = [(na * nb, da * db, pair_terms(k, k2)) for k, na in left for k2, nb in right]
     return IndexSum._over(*integer_sum(parts))

@@ -51,4 +51,4 @@ def bernoulli(n: int, sign: Sign) -> Fraction:
 
 def format_rational(value: Fraction | int) -> str:
     """Serialize a rational as ``"p/q"`` in lowest terms, or ``"p"`` when q = 1."""
-    return str(Fraction(value))
+    return str(value)

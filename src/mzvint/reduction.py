@@ -15,16 +15,17 @@ Iterating the step to its fixed point is a linear, idempotent projection:
 every output index has all entries before the last positive, the last entry
 is never rewritten, and the defining power-series identity is preserved
 exactly at every stage (module ``series`` verifies this coefficientwise).
-The image of each single index is cached as ``(den, ((index, num), ...))``
-in lowest terms with den > 0; a combination is summed in ints over the lcm
-of its denominators (``indices.integer_sum``), with Fractions for its output.
+One step is an integer row over (1 - k_m) * lcm(den B_0..B_{-k_m}). The image
+of each single index is cached as ``(den, ((index, num), ...))`` in lowest
+terms with den > 0; a combination is summed in ints over the lcm of its
+denominators (``indices.integer_sum``) into an ``IndexSum``, which stores
+that same form: no Fraction is built on the way.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .indices import Index, IndexSum, IndexSumLike, as_index_sum, integer_sum
 from .rationals import bernoulli
@@ -40,25 +41,20 @@ def _reduction_position(k: Index) -> int | None:
     return None
 
 
-def _reduce_at(k: Index, m: int) -> list[tuple[Index, Fraction]]:
+def _reduce_at(k: Index, m: int) -> tuple[int, list[tuple[Index, int]]]:
+    # B^+_i = B^-_i except B^+_1 = -B^-_1: one lookup per i serves both families
     km = k[m - 1]
     n = -km  # >= 0
-    inv = Fraction(1, n + 1)
-    terms: list[tuple[Index, Fraction]] = []
-    for i in range(n + 1):
-        coeff = inv * comb(n + 1, i) * bernoulli(i, "minus")
-        if coeff:
-            merged_up = k[: m - 1] + (k[m] + km - 1 + i,) + k[m + 1 :]
-            terms.append((merged_up, coeff))
+    bs = [bernoulli(i, "minus") for i in range(n + 1)]
+    scale = lcm(*(b.denominator for b in bs))
+    nums = [(i, comb(n + 1, i) * b.numerator * (scale // b.denominator)) for i, b in enumerate(bs) if b]
+    den = (n + 1) * scale
+    row = [(k[: m - 1] + (k[m] + km - 1 + i,) + k[m + 1 :], num) for i, num in nums]
     if km == 0:
-        terms.append((k[: m - 1] + k[m:], Fraction(-1)))
+        row.append((k[: m - 1] + k[m:], -den))
     if m >= 2:
-        for i in range(n + 1):
-            coeff = -inv * comb(n + 1, i) * bernoulli(i, "plus")
-            if coeff:
-                merged_down = k[: m - 2] + (k[m - 2] + km - 1 + i,) + k[m:]
-                terms.append((merged_down, coeff))
-    return terms
+        row += [(k[: m - 2] + (k[m - 2] + km - 1 + i,) + k[m:], num if i == 1 else -num) for i, num in nums]
+    return den, row
 
 
 def reduce_step(k: Index) -> IndexSum:
@@ -73,7 +69,7 @@ def reduce_step(k: Index) -> IndexSum:
         raise ValueError(
             f"index {k} has no non-positive entry before its last position; nothing to reduce"
         )
-    return IndexSum(_reduce_at(k, m))
+    return IndexSum._over(*integer_sum(((1, *_reduce_at(k, m)),)))
 
 
 @lru_cache(maxsize=None)
@@ -81,7 +77,8 @@ def _pi_plus_index(k: Index) -> tuple[int, tuple[tuple[Index, int], ...]]:
     m = _reduction_position(k)
     if m is None:
         return 1, ((k, 1),)
-    den, nums = integer_sum((c, *_pi_plus_index(index)) for index, c in _reduce_at(k, m))
+    den, row = _reduce_at(k, m)
+    den, nums = integer_sum((c, den * d, items) for index, c in row for d, items in (_pi_plus_index(index),))
     return den, tuple(nums.items())
 
 
@@ -93,4 +90,6 @@ def pi_plus(a: IndexSumLike) -> IndexSum:
     themselves. Admissible input yields admissible positive support;
     regularizable input yields positive support. Idempotent by construction.
     """
-    return IndexSum._over(*integer_sum((c, *_pi_plus_index(index)) for index, c in as_index_sum(a)))
+    s = as_index_sum(a)
+    parts = ((c, s._den * d, items) for index, c in s._nums.items() for d, items in (_pi_plus_index(index),))
+    return IndexSum._over(*integer_sum(parts))

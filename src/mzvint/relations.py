@@ -79,7 +79,7 @@ class Relation:
 
 def _check_positive_admissible(s: IndexSum, what: str) -> None:
     # the empty index is vacuously positive and admissible
-    for index, _ in s:
+    for index in s.support():
         if (index and min(index) <= 0) or not is_admissible(index):
             raise RuntimeError(
                 f"{what} contains the non positive-admissible index {index}; "

@@ -15,7 +15,7 @@ n^{-k_i} = (L/n)^{k_i} / L^{k_i} for k_i > 0 and c_n(k) * L^{P(k)} and
 H_N(k) * L^{P(k)} are integers; each stage multiplies by the integer
 (L/n)^{k_i} or n^{-k_i} and takes no gcd. A linear combination with
 rational coefficients is held as one integer vector v over one denominator
-D = Q * L^E, where Q is the lcm of the coefficients' denominators and E the
+D = Q * L^E, where Q is the combination's common denominator and E the
 largest P of its indices. Two exact rationals a/A and b/B are equal exactly
 when the integers a*B and b*A are, so every verdict is a certificate, not a
 screen: no modular reduction and no rounding enters it. The public values
@@ -164,17 +164,12 @@ class Report:
 
 
 def _integer_weights(combo: IndexSum, L: int) -> tuple[list[tuple[Index, int]], int]:
-    """Integers w and D with sum of coeff * value(index) over ``combo`` equal
-    to sum of w * value(index) * L^P(index) over the returned pairs, divided
-    by D. With Q the lcm of the coefficients' denominators and E the largest
-    P(index), D = Q * L^E."""
-    terms = [(index, coeff, _positive_weight(index)) for index, coeff in combo]
-    Q = math.lcm(*(coeff.denominator for _, coeff, _ in terms))
+    """Integers w and D = Q * L^E, Q the denominator of ``combo`` and E the
+    largest P(index), with sum of coeff * value(index) over ``combo`` equal to
+    sum of w * value(index) * L^P(index) over the returned pairs, divided by D."""
+    terms = [(index, num, _positive_weight(index)) for index, num in combo._nums.items()]
     E = max((p for _, _, p in terms), default=0)
-    weights = [
-        (index, coeff.numerator * (Q // coeff.denominator) * L ** (E - p)) for index, coeff, p in terms
-    ]
-    return weights, Q * L**E
+    return [(index, num * L ** (E - p)) for index, num, p in terms], combo._den * L**E
 
 
 def _series_combination(combo: IndexSum, order: int, L: int) -> tuple[list[int], int]:

@@ -75,6 +75,32 @@ def test_pi_plus_command_pretty(capsys):
     assert out.strip() == "1/2·(2) - 1/2·(3)"
 
 
+# --pretty output of each sum command, with negative and non-integral
+# coefficients; the sha256 is of the concatenated stdout
+PRETTY_CORPUS = (
+    ("pi-plus", "(1,-3,2)"),
+    ("pi-plus", "(0,0,4)"),
+    ("pi-plus", "(-2,-1,3)"),
+    ("shuffle", "(1,-2)", "(0,3)"),
+    ("stuffle", "(1,-3)", "(2,-1)"),
+    ("relation", "(1,-1,4)", "(2)"),
+    ("relation", "(-1,4)", "(0,3)"),
+)
+
+
+def test_pretty_output_pinned(capsys):
+    outs = []
+    for argv in PRETTY_CORPUS:
+        code, out, err = run_cli(capsys, *argv, "--pretty")
+        assert code == 0 and err == ""
+        outs.append(out)
+    text = "".join(outs)
+    assert text.startswith("-1/16·(-2) - 1/24·(-1) + 1/16·(0)")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9b948a1e62607c0f98dc9e7757a88680fcb4e2fdc391bd27003fef03c70034f0"
+    )
+
+
 def test_shuffle_and_stuffle_commands(capsys):
     code, out, _ = run_cli(capsys, "shuffle", "(2)", "(3)")
     assert code == 0

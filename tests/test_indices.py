@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from mzvint.indices import (
     tail_index,
     weight,
 )
+from mzvint.rationals import format_rational
 
 indices = st.lists(st.integers(-5, 5), max_size=5).map(tuple)
 coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
@@ -153,6 +155,58 @@ def test_scalar_action(a, x, y):
 @given(index_sums, index_sums, coeffs)
 def test_scalar_distributes_over_sums(a, b, x):
     assert x * (a + b) == x * a + x * b
+
+
+# The reference for the integer storage: a plain {index: Fraction} dict.
+int_or_fraction = st.one_of(st.integers(-6, 6), coeffs)
+term_lists = st.lists(st.tuples(indices, int_or_fraction), max_size=6)
+
+
+def _reference(terms) -> dict:
+    ref: dict = {}
+    for index, c in terms:
+        ref[index] = ref.get(index, 0) + Fraction(c)
+    return {index: c for index, c in ref.items() if c}
+
+
+def _assert_stored(s: IndexSum, ref: dict) -> None:
+    # canonical form: den > 0, no zero numerator, gcd 1; Fractions at the edges
+    assert type(s._den) is int and s._den > 0
+    assert all(type(num) is int and num for num in s._nums.values())
+    assert math.gcd(s._den, *s._nums.values()) == 1
+    assert dict(s) == ref
+    assert all(type(c) is Fraction for _, c in s)
+
+
+@given(term_lists, st.randoms(use_true_random=False))
+def test_index_sum_storage_is_canonical(terms, rnd):
+    s = IndexSum(terms)
+    _assert_stored(s, _reference(terms))
+    permuted = rnd.sample(terms, len(terms))
+    halves = [(index, Fraction(c) / 2) for index, c in permuted for _ in range(2)]
+    as_fractions = [(index, Fraction(c)) for index, c in terms]
+    as_ints = [(index, int(c) if Fraction(c).denominator == 1 else c) for index, c in as_fractions]
+    for other in (IndexSum(permuted), IndexSum(halves), IndexSum(as_fractions), IndexSum(as_ints)):
+        assert other == s and hash(other) == hash(s)
+
+
+@given(term_lists, term_lists, int_or_fraction)
+def test_index_sum_arithmetic_matches_reference(t1, t2, x):
+    a, b = IndexSum(t1), IndexSum(t2)
+    ra = _reference(t1)
+    _assert_stored(a + b, _reference(t1 + t2))
+    _assert_stored(a - b, _reference(t1 + [(index, -Fraction(c)) for index, c in t2]))
+    _assert_stored(-a, {index: -c for index, c in ra.items()})
+    scaled = _reference([(index, x * Fraction(c)) for index, c in t1])
+    _assert_stored(x * a, scaled)
+    _assert_stored(a * x, scaled)
+    for index in {*ra, *_reference(t2), (9, 9)}:
+        c = a.coefficient(index)
+        assert type(c) is Fraction and c == ra.get(index, 0)
+    assert a.terms() == sorted(ra.items(), key=lambda item: (len(item[0]), item[0]))
+    assert a.to_json_dict()["terms"] == [
+        {"coeff": format_rational(c), "index": list(index)} for index, c in a.terms()
+    ]
 
 
 def test_canonical_term_order_by_depth_then_lex():

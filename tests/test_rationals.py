@@ -150,3 +150,9 @@ def test_rational_serialization():
     assert format_rational(Fraction(-3, 4)) == "-3/4"
     assert format_rational(Fraction(5)) == "5"
     assert format_rational(7) == "7"
+    for zero in (0, Fraction(0), Fraction(0, 5)):
+        assert format_rational(zero) == "0"
+    assert format_rational(-7) == "-7"
+    assert format_rational(Fraction(-6, 3)) == "-2"
+    assert format_rational(Fraction(6, -4)) == "-3/2"
+    assert format_rational(Fraction(10**30 + 1, 10**30)) == f"{10**30 + 1}/{10**30}"

@@ -11,6 +11,7 @@ import pytest
 
 from mzvint import clear_caches
 from mzvint.indices import IndexSum, add_term, is_admissible, is_regularizable, m_index
+from mzvint.rationals import bernoulli
 from mzvint.reduction import _pi_plus_index, _reduce_at, _reduction_position, pi_plus, reduce_step
 from mzvint.series import verify_reduction
 from mzvint.shuffle import shuffle
@@ -31,6 +32,31 @@ def test_reduce_step_interior_position():
     assert reduce_step((2, 0, 3)) == IndexSum(
         [((2, 2), 1), ((2, 3), -1), ((1, 3), -1)]
     )
+
+
+def _step_formula(k, m) -> dict:
+    # the three families of the module docstring, one Fraction per term
+    km = k[m - 1]
+    n = -km
+    out: dict = {}
+    for i in range(n + 1):
+        c = Fraction(math.comb(n + 1, i), n + 1)
+        add_term(out, k[: m - 1] + (k[m] + km - 1 + i,) + k[m + 1 :], c * bernoulli(i, "minus"))
+        if m >= 2:
+            add_term(out, k[: m - 2] + (k[m - 2] + km - 1 + i,) + k[m:], -c * bernoulli(i, "plus"))
+    if km == 0:
+        add_term(out, k[: m - 1] + k[m:], Fraction(-1))
+    return {index: c for index, c in out.items() if c}
+
+
+def test_reduce_at_row_matches_the_fraction_formula():
+    for km in range(0, -41, -1):
+        for k, m in (((km, 4, 2), 1), ((3, km, 4), 2)):
+            den, row = _reduce_at(k, m)
+            assert type(den) is int and den > 0
+            assert all(type(num) is int and num for _, num in row)
+            assert len({index for index, _ in row}) == len(row)
+            assert {index: Fraction(num, den) for index, num in row} == _step_formula(k, m), k
 
 
 def test_reduce_step_drops_depth_by_one():
@@ -160,7 +186,7 @@ def test_memoization_transparent():
 
 # Reference: the Fraction accumulation that the integer one replaced, one
 # Fraction multiply and add per term. It shares the elimination step
-# (_reduce_at) with the engine; only the summation differs. Its memo is a
+# (reduce_step) with the engine; only the summation differs. Its memo is a
 # plain dict, so the test can list the indices it holds.
 _REFERENCE_MEMO: dict[tuple[int, ...], IndexSum] = {}
 
@@ -179,7 +205,7 @@ def _reference_pi_plus_index(k: tuple[int, ...]) -> IndexSum:
         if m is None:
             _REFERENCE_MEMO[k] = IndexSum.single(k)
         else:
-            _REFERENCE_MEMO[k] = _reference_reduce_terms(_reduce_at(k, m))
+            _REFERENCE_MEMO[k] = _reference_reduce_terms(reduce_step(k))
     return _REFERENCE_MEMO[k]
 
 
