@@ -6,6 +6,10 @@ commands to a human-readable rendering. Exit codes: 0 on success, 1 when
 any verification check fails, on an internal error, or when stdout is
 closed (by its reader, or never open; silently, no traceback), 2 on usage
 errors, among them an index over ``MAX_ENTRY`` or ``MAX_LETTERS``.
+
+``main`` builds only the subparser its first word names, since building all
+seven cost most of a small command's time; output is as with all seven
+(``build_parser`` says how the top usage line is kept).
 """
 
 from __future__ import annotations
@@ -188,67 +192,72 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-# commands that print one sum: (command, op in this module, index names, help)
-SUM_COMMANDS = (
-    ("pi-plus", "pi_plus", ("index",), "reduce an index to positive-index form"),
-    ("shuffle", "shuffle", ("left", "right"), "shuffle product of two indices"),
-    ("stuffle", "stuffle", ("left", "right"), "stuffle product of two indices"),
-)
+# subcommands in help order: command -> (help, defaults, arguments), where an
+# argument is (name or flag, add_argument keywords); a sum command prints one
+# sum, and its op is the name of a function in this module
+COMMANDS = {
+    "m-index": ("print the regularizability index and classification", {"func": _cmd_m_index},
+                [("index", {"help": "index text, e.g. '(0,3)' or '()'"})]),
+    **{
+        command: (help_text, {"func": _cmd_sum, "op": op},
+                  # not nargs: argparse (3.11) fails to report a missing tuple metavar
+                  [*(("indices", {"action": "append", "metavar": name}) for name in names),
+                   ("--pretty", {"action": "store_true", "help": "human-readable sum output"})])
+        for command, op, names, help_text in (
+            ("pi-plus", "pi_plus", ("index",), "reduce an index to positive-index form"),
+            ("shuffle", "shuffle", ("left", "right"), "shuffle product of two indices"),
+            ("stuffle", "stuffle", ("left", "right"), "stuffle product of two indices"),
+        )
+    },
+    "relation": ("emit the double-product relation for a pair", {"func": _cmd_relation},
+                 [("left", {}), ("right", {}), ("--pretty", {"action": "store_true"})]),
+    "verify": ("run randomized verification suites", {"func": _cmd_verify}, [
+        ("--suite", {"choices": [*SUITES, "all"], "default": "all"}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--cases", {"type": int, "default": 100}),
+        ("--order", {"type": int, "default": None, "help": "truncation order of the reduction "
+         "and shuffle series checks and bound of the stuffle harmonic check, for every such "
+         f"case (defaults: {DEFAULT_SERIES_ORDER} series, {DEFAULT_HARMONIC_ORDER} harmonic)"}),
+    ]),
+    "eval": ("floating-point estimate of an admissible zeta value", {"func": _cmd_eval}, [
+        ("index", {}),
+        ("--terms", {"type": int, "default": 10000,
+                     "help": f"partial-sum bound, at most {MAX_EVAL_TERMS}"}),
+    ]),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``mzvint`` parser, with only the subparser of ``command`` when it
+    names one, else with all of them (for help and for errors that list them).
+
+    Building every subparser took most of a small command's time. A
+    one-command parser takes the full choice list as its ``metavar``, so its
+    top usage line is unchanged; the full parser does not, since there it
+    would rename ``argument command:`` in its invalid-choice and
+    missing-command errors.
+    """
     parser = argparse.ArgumentParser(
         prog="mzvint",
         description="Exact double-shuffle algebra for multiple zeta values of integer indices. "
         f"Indices must satisfy |k_i| <= {MAX_ENTRY} and depth + sum |k_i| <= {MAX_LETTERS}.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("m-index", help="print the regularizability index and classification")
-    p.add_argument("index", help="index text, e.g. '(0,3)' or '()'")
-    p.set_defaults(func=_cmd_m_index)
-
-    for command, op, names, help_text in SUM_COMMANDS:
-        p = sub.add_parser(command, help=help_text)
-        for name in names:
-            # not nargs: argparse (3.11) fails to report a missing tuple metavar
-            p.add_argument("indices", action="append", metavar=name)
-        p.add_argument("--pretty", action="store_true", help="human-readable sum output")
-        p.set_defaults(func=_cmd_sum, op=op)
-
-    p = sub.add_parser("relation", help="emit the double-product relation for a pair")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=_cmd_relation)
-
-    p = sub.add_parser("verify", help="run randomized verification suites")
-    p.add_argument("--suite", choices=[*SUITES, "all"], default="all")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=100)
-    p.add_argument(
-        "--order",
-        type=int,
-        default=None,
-        help="truncation order of the reduction and shuffle series checks and bound of the "
-        "stuffle harmonic check, for every such case "
-        f"(defaults: {DEFAULT_SERIES_ORDER} series, {DEFAULT_HARMONIC_ORDER} harmonic)",
+    only = command in COMMANDS
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="{%s}" % ",".join(COMMANDS) if only else None
     )
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("eval", help="floating-point estimate of an admissible zeta value")
-    p.add_argument("index")
-    p.add_argument(
-        "--terms", type=int, default=10000, help=f"partial-sum bound, at most {MAX_EVAL_TERMS}"
-    )
-    p.set_defaults(func=_cmd_eval)
-
+    for name, (help_text, defaults, arguments) in COMMANDS.items():
+        if not only or name == command:
+            p = sub.add_parser(name, help=help_text)
+            for flag, keywords in arguments:
+                p.add_argument(flag, **keywords)
+            p.set_defaults(**defaults)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     if sys.stdout is None:  # fd 1 was never open: the output could not go out
         return 1
     try:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ import sys
 
 import pytest
 
+import mzvint.cli as cli
 from mzvint.cli import MAX_ENTRY, MAX_EVAL_TERMS, MAX_LETTERS, IndexSyntaxError, main, parse_index
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -153,6 +155,73 @@ def test_usage_lines(capsys):
         assert capsys.readouterr().err == (
             f"{usage}\nmzvint {argv[0]}: error: the following arguments are required: {missing}\n"
         )
+
+
+# argv whose output is argparse's own: help, usage errors, the top usage line
+PARSER_CORPUS = (
+    (),
+    ("-h",),
+    ("--help",),
+    ("bogus",),
+    ("-x",),
+    ("--",),
+    ("-h", "m-index"),
+    *((command, "-h") for command in cli.COMMANDS),
+    ("m-index",),
+    ("pi-plus",),
+    ("shuffle", "(1)"),
+    ("stuffle", "(1)"),
+    ("relation", "(1)"),
+    ("verify", "--cases"),
+    ("eval",),
+    ("m-index", "(1)", "extra"),
+    ("verify", "--suite", "nope"),
+    ("eval", "(2)", "--terms", "x"),
+    ("shuffle", "(1)", "(2)", "--bogus"),
+)
+
+
+def _outcome(capsys, argv):
+    try:
+        code = ("return", main(list(argv)))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_one_command_parser_prints_as_the_full_parser(monkeypatch, capsys, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    got = {argv: _outcome(capsys, argv) for argv in PARSER_CORPUS}
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert got == {argv: _outcome(capsys, argv) for argv in PARSER_CORPUS}
+    # the full parser has no metavar: its errors call the command by its dest
+    assert got[()][2].endswith("error: the following arguments are required: command\n")
+    assert "error: argument command: invalid choice: 'bogus'" in got[("bogus",)][2]
+
+
+def _subcommands(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+def test_build_parser_builds_only_the_named_subcommand():
+    assert _subcommands(cli.build_parser("m-index")) == ["m-index"]
+    everything = ["m-index", "pi-plus", "shuffle", "stuffle", "relation", "verify", "eval"]
+    for command in (None, "bogus", "-h"):
+        assert _subcommands(cli.build_parser(command)) == everything
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    built = []
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or full(command))
+    monkeypatch.setattr(sys, "argv", ["mzvint", "m-index", "(0,3)"])
+    assert main() == 0
+    assert built == ["m-index"]
+    assert json.loads(capsys.readouterr().out)["m"] == 1
 
 
 def test_sum_commands_look_up_their_op_when_run(monkeypatch, capsys):
