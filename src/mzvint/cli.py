@@ -271,6 +271,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # a broken invariant (e.g. RecursionError): report it, no traceback
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("internal error: out of memory", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # the reader closed stdout: exit 1 quietly; fd 1 goes to devnull so
         # the interpreter's own flush at exit cannot fail again

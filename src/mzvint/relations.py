@@ -5,7 +5,11 @@ An admissible integer index stands for the rational combination of positive
 admissible symbols produced by the positive reduction. Multiplying two
 symbols through the shuffle product and through the stuffle product must
 give the same value, so the difference of the two reduced expansions is a
-certified linear relation among positive admissible zeta values.
+certified linear relation among positive admissible zeta values. Because
+the positive reduction is a homomorphism for both products, each pair is
+reduced first and the two positive combinations are then multiplied: the
+result is the reduction of the raw product, without the d-rule recursion
+on the raw pair or the reduction of its often much larger product.
 
 The checks that both products obey the min-formula for the
 regularizability index and that the positive reduction is a homomorphism
@@ -88,11 +92,19 @@ def _check_positive_admissible(s: IndexSum, what: str) -> None:
 
 
 def dsr_relation(k: Index, k2: Index) -> Relation:
-    """Build the certified relation for a pair of admissible indices."""
+    """Build the certified relation for a pair of admissible indices.
+
+    The expansions are ``shuffle(a, b)`` and ``stuffle(a, b)`` with
+    ``a, b = zeta_expand(k), zeta_expand(k2)``. Since pi_plus is a
+    homomorphism for both products, they equal ``pi_plus(shuffle(k, k2))``
+    and ``pi_plus(stuffle(k, k2))``; a product of two positive admissible
+    sums is already positive admissible, so no reduction follows it.
+    """
     k = _require_admissible(k)
     k2 = _require_admissible(k2)
-    shuffle_expansion = pi_plus(shuffle(k, k2))
-    stuffle_expansion = pi_plus(stuffle(k, k2))
+    a, b = zeta_expand(k), zeta_expand(k2)
+    shuffle_expansion = shuffle(a, b)
+    stuffle_expansion = stuffle(a, b)
     _check_positive_admissible(shuffle_expansion, "shuffle expansion")
     _check_positive_admissible(stuffle_expansion, "stuffle expansion")
     return Relation(

@@ -481,3 +481,21 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("internal error: stuffle expansion contains")
     assert err.count("\n") == 1
+
+
+def test_out_of_memory_ends_in_one_line(monkeypatch, capsys):
+    def exhausted(*indices):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "stuffle", exhausted)
+    code, out, err = run_cli(capsys, "stuffle", "(2)", "(3)")
+    assert code == 1
+    assert out == ""
+    assert err == "internal error: out of memory\n"  # one line, no traceback
+
+
+def test_relation_of_pair_whose_raw_product_exhausts_memory(capsys):
+    # multiplying the raw pair needs over 1 GB; reducing each index first does not
+    code, out, err = run_cli(capsys, "relation", "(1,-20,25)", "(1,-20,25)")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["difference"]["terms"]) == 15735

@@ -9,7 +9,10 @@ from fractions import Fraction
 
 import pytest
 
+import mzvint.relations as relations
+from mzvint import clear_caches
 from mzvint.indices import AdmissibilityError, IndexSum, is_admissible
+from mzvint.reduction import pi_plus
 from mzvint.relations import (
     Relation,
     dsr_relation,
@@ -18,6 +21,8 @@ from mzvint.relations import (
     verify_relation_numeric,
     zeta_expand,
 )
+from mzvint.shuffle import shuffle
+from mzvint.stuffle import stuffle
 
 
 def test_zeta_expand_examples():
@@ -141,3 +146,56 @@ def test_relation_numeric_report_json():
     assert payload["pass"] is True
     assert payload["order"] == 1000
     assert payload["tolerance"] == 1e-2
+
+
+def reference_relation(k, k2):
+    """Multiply the raw pair, then reduce: the reference that the
+    reduce-first ``dsr_relation`` must match term for term."""
+    shuffle_expansion = pi_plus(shuffle(k, k2))
+    stuffle_expansion = pi_plus(stuffle(k, k2))
+    return Relation((k, k2), shuffle_expansion, stuffle_expansion, shuffle_expansion - stuffle_expansion)
+
+
+def assert_same_as_reference(k, k2):
+    rel, ref = dsr_relation(k, k2), reference_relation(k, k2)
+    assert rel == ref, (k, k2)
+    assert relation_json_line(rel) == relation_json_line(ref), (k, k2)
+
+
+# the relation_sweep box: depth <= 3, entries -2..4, weight <= 5
+SWEEP_BOX = [
+    k
+    for d in (1, 2, 3)
+    for k in itertools.product(range(-2, 5), repeat=d)
+    if sum(k) <= 5 and is_admissible(k)
+]
+
+
+def test_reduce_first_matches_reference_route_on_sweep_box():
+    pairs = list(itertools.combinations_with_replacement(SWEEP_BOX, 2))
+    assert len(pairs) == 741
+    for k, k2 in pairs:
+        assert_same_as_reference(k, k2)
+
+
+@pytest.mark.parametrize(
+    "k, k2",
+    [
+        ((2, -3, -3, 10), (1, -2, 5)),
+        ((-4, 7), (-4, 7)),
+        ((1, -30, 35), (3,)),
+        ((1, -20, 25), (3,)),
+    ],
+)
+def test_reduce_first_matches_reference_route_on_extreme_pairs(k, k2):
+    try:
+        assert_same_as_reference(k, k2)
+    finally:
+        clear_caches()  # the reference route leaves large memo tables behind
+
+
+def test_positivity_guard_stays_live(monkeypatch):
+    # a product that breaks the closure guarantee: (0, 2) is admissible but not positive
+    monkeypatch.setattr(relations, "shuffle", lambda a, b: IndexSum.single((0, 2)))
+    with pytest.raises(RuntimeError, match=r"shuffle expansion contains .*\(0, 2\)"):
+        dsr_relation((2,), (3,))
