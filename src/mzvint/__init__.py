@@ -10,22 +10,19 @@ series and harmonic-sum oracles verify the identities coefficientwise.
 The names exported here are the whole public surface: the index core and
 its sparse Q-linear combinations (``IndexSum``), the positive reduction,
 the two products, the relations and the oracles that certify them, and the
-Bernoulli numbers and rational text forms they rest on; ``clear_caches``
-empties every memo table. The word encoding (``mzvint.shuffle``), the
+Bernoulli numbers the reduction rests on; ``clear_caches`` empties every
+memo table. The word encoding (``mzvint.shuffle``), the
 shared checks (``mzvint.relations``) and the command line (``mzvint.cli``)
 stay in their modules.
 """
 
 from .indices import (
-    EMPTY_INDEX,
     INFINITY,
     AdmissibilityError,
     Index,
     IndexClass,
     IndexSum,
-    as_index_sum,
     classify,
-    concat,
     depth,
     format_index,
     is_admissible,
@@ -35,16 +32,14 @@ from .indices import (
     tail_index,
     weight,
 )
-from .rationals import _bernoulli_lower, bernoulli, format_rational
+from .rationals import _bernoulli_lower, bernoulli
 from .reduction import _pi_plus_index, pi_plus, reduce_step
 from .relations import (
     NumericReport,
     Relation,
     dsr_relation,
-    relation_json_dict,
     relation_json_line,
     verify_relation_numeric,
-    zeta_expand,
 )
 from .series import (
     _harmonic_cached,
@@ -84,7 +79,6 @@ def clear_caches() -> None:
 
 __all__ = [
     "AdmissibilityError",
-    "EMPTY_INDEX",
     "INFINITY",
     "Index",
     "IndexClass",
@@ -93,16 +87,13 @@ __all__ = [
     "Relation",
     "Report",
     "SeriesPoly",
-    "as_index_sum",
     "bernoulli",
     "classify",
     "clear_caches",
     "combination_series",
-    "concat",
     "depth",
     "dsr_relation",
     "format_index",
-    "format_rational",
     "harmonic_sum",
     "is_admissible",
     "is_regularizable",
@@ -111,7 +102,6 @@ __all__ = [
     "mpl_coefficients",
     "pi_plus",
     "reduce_step",
-    "relation_json_dict",
     "relation_json_line",
     "shuffle",
     "stuffle",
@@ -121,6 +111,5 @@ __all__ = [
     "verify_shuffle",
     "verify_stuffle",
     "weight",
-    "zeta_expand",
     "zeta_real_approx",
 ]

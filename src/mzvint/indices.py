@@ -17,7 +17,6 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Union
 
 __all__ = [
     "Index",
-    "EMPTY_INDEX",
     "INFINITY",
     "IndexClass",
     "AdmissibilityError",
@@ -28,18 +27,16 @@ __all__ = [
     "classify",
     "is_admissible",
     "is_regularizable",
-    "concat",
     "format_index",
     "IndexSum",
     "add_term",
     "integer_sum",
+    "integer_form",
     "bilinear",
     "m_of_sum",
-    "as_index_sum",
 ]
 
 Index = tuple[int, ...]
-EMPTY_INDEX: Index = ()
 
 # Sentinel for the regularizability index of the empty index: totally ordered
 # above all integers and absorbing under addition, so the min-formulas stay
@@ -108,11 +105,6 @@ def is_regularizable(k: Index) -> bool:
     return m_index(k) >= 0
 
 
-def concat(k: Index, k2: Index) -> Index:
-    """Entry lists joined in order; the empty index is neutral."""
-    return tuple(k) + tuple(k2)
-
-
 def format_index(k: Index) -> str:
     """Text form ``(k1,k2,...)``; ``()`` for the empty index."""
     return "(" + ",".join(str(e) for e in k) + ")"
@@ -155,8 +147,20 @@ def integer_sum(parts: Iterable[tuple[int, int, Iterable]]) -> tuple[int, dict]:
     return common // g, acc
 
 
+IndexSumLike = Union["IndexSum", Index]
+
+
+def integer_form(x: IndexSumLike) -> tuple[int, Iterable[tuple[Index, int]]]:
+    """``(den, (index, num) pairs)`` with x = sum of num/den * index, den > 0;
+    a bare index is ``(1, ((k, 1),))``. How the algebra reads its operands."""
+    if isinstance(x, IndexSum):
+        return x._den, x._nums.items()
+    return 1, ((tuple(x), 1),)
+
+
 def _ratio_text(num: int, den: int) -> str:
-    """``format_rational(Fraction(num, den))`` without the Fraction."""
+    """``str(Fraction(num, den))`` without the Fraction: ``"p/q"`` in lowest
+    terms, or ``"p"`` when q = 1. The engine's one rational text form."""
     g = math.gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
@@ -179,10 +183,6 @@ class IndexSum:
         self._den, self._nums = integer_sum(
             (c.numerator, c.denominator, ((index, 1),)) for index, c in coeffs if c
         )
-
-    @classmethod
-    def zero(cls) -> "IndexSum":
-        return cls()
 
     @classmethod
     def single(cls, index: Index, coeff: Fraction | int = 1) -> "IndexSum":
@@ -250,7 +250,7 @@ class IndexSum:
             return NotImplemented
         c = Fraction(scalar)
         if not c:
-            return IndexSum.zero()
+            return IndexSum()
         return IndexSum._over(*integer_sum((self._scaled(c.numerator, c.denominator),)))
 
     __rmul__ = __mul__
@@ -284,16 +284,6 @@ def m_of_sum(s: IndexSum) -> int | float:
     return min((m_index(index) for index in s._nums), default=INFINITY)
 
 
-IndexSumLike = Union[IndexSum, Index]
-
-
-def as_index_sum(value: IndexSumLike) -> IndexSum:
-    """Coerce a bare index (tuple/list of ints) to a one-term sum."""
-    if isinstance(value, IndexSum):
-        return value
-    return IndexSum.single(tuple(value))
-
-
 PairTerms = Callable[[Index, Index], Iterable[tuple[Index, int]]]
 
 
@@ -302,9 +292,6 @@ def bilinear(a: IndexSumLike, b: IndexSumLike, pair_terms: PairTerms) -> IndexSu
     sum over the terms ca*k of ``a`` and cb*k2 of ``b`` of
     ca*cb*``pair_terms(k, k2)``, where ``pair_terms`` yields (index, integer
     coefficient) pairs."""
-    # a bare index is one term with numerator 1 over 1
-    (da, left), (db, right) = (
-        (x._den, x._nums.items()) if isinstance(x, IndexSum) else (1, ((tuple(x), 1),)) for x in (a, b)
-    )
+    (da, left), (db, right) = integer_form(a), integer_form(b)
     parts = [(na * nb, da * db, pair_terms(k, k2)) for k, na in left for k2, nb in right]
     return IndexSum._over(*integer_sum(parts))

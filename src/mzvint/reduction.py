@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, lcm
 
-from .indices import Index, IndexSum, IndexSumLike, as_index_sum, integer_sum
+from .indices import Index, IndexSum, IndexSumLike, integer_form, integer_sum
 from .rationals import bernoulli
 
 __all__ = ["reduce_step", "pi_plus"]
@@ -42,10 +42,11 @@ def _reduction_position(k: Index) -> int | None:
 
 
 def _reduce_at(k: Index, m: int) -> tuple[int, list[tuple[Index, int]]]:
-    # B^+_i = B^-_i except B^+_1 = -B^-_1: one lookup per i serves both families
+    # B^+_i = (-1)^i B^-_i, and B^-_i = 0 for odd i > 1, so B^+_i = B^-_i
+    # except B^+_1 = -B^-_1: one lookup per i serves both families
     km = k[m - 1]
     n = -km  # >= 0
-    bs = [bernoulli(i, "minus") for i in range(n + 1)]
+    bs = [bernoulli(i) for i in range(n + 1)]
     scale = lcm(*(b.denominator for b in bs))
     nums = [(i, comb(n + 1, i) * b.numerator * (scale // b.denominator)) for i, b in enumerate(bs) if b]
     den = (n + 1) * scale
@@ -90,6 +91,6 @@ def pi_plus(a: IndexSumLike) -> IndexSum:
     themselves. Admissible input yields admissible positive support;
     regularizable input yields positive support. Idempotent by construction.
     """
-    s = as_index_sum(a)
-    parts = ((c, s._den * d, items) for index, c in s._nums.items() for d, items in (_pi_plus_index(index),))
+    den, terms = integer_form(a)
+    parts = ((c, den * d, items) for index, c in terms for d, items in (_pi_plus_index(index),))
     return IndexSum._over(*integer_sum(parts))

@@ -39,10 +39,8 @@ from .stuffle import stuffle
 __all__ = [
     "Relation",
     "NumericReport",
-    "zeta_expand",
     "dsr_relation",
     "verify_relation_numeric",
-    "relation_json_dict",
     "relation_json_line",
     "min_formula_holds",
     "is_homomorphic",
@@ -58,12 +56,6 @@ def _require_admissible(k: Index) -> Index:
             f"index {k} is not admissible; zeta symbols are only defined for admissible indices"
         )
     return k
-
-
-def zeta_expand(k: Index) -> IndexSum:
-    """Expand the symbol of an admissible integer index into positive
-    admissible symbols (the positive reduction, with the domain guard)."""
-    return pi_plus(_require_admissible(k))
 
 
 @dataclass(frozen=True)
@@ -95,14 +87,15 @@ def dsr_relation(k: Index, k2: Index) -> Relation:
     """Build the certified relation for a pair of admissible indices.
 
     The expansions are ``shuffle(a, b)`` and ``stuffle(a, b)`` with
-    ``a, b = zeta_expand(k), zeta_expand(k2)``. Since pi_plus is a
+    ``a, b = pi_plus(k), pi_plus(k2)``, the symbols of ``k`` and ``k2``
+    expanded into positive admissible symbols. Since pi_plus is a
     homomorphism for both products, they equal ``pi_plus(shuffle(k, k2))``
     and ``pi_plus(stuffle(k, k2))``; a product of two positive admissible
     sums is already positive admissible, so no reduction follows it.
     """
     k = _require_admissible(k)
     k2 = _require_admissible(k2)
-    a, b = zeta_expand(k), zeta_expand(k2)
+    a, b = pi_plus(k), pi_plus(k2)
     shuffle_expansion = shuffle(a, b)
     stuffle_expansion = stuffle(a, b)
     _check_positive_admissible(shuffle_expansion, "shuffle expansion")
@@ -124,14 +117,6 @@ class NumericReport:
     order: int
     tolerance: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "pass": self.passed,
-            "value": self.value,
-            "order": self.order,
-            "tolerance": self.tolerance,
-        }
-
 
 def verify_relation_numeric(rel: Relation, terms: int, tolerance: float) -> NumericReport:
     """Evaluate the difference with real partial sums; pass iff the absolute
@@ -148,18 +133,15 @@ def verify_relation_numeric(rel: Relation, terms: int, tolerance: float) -> Nume
     return NumericReport(abs(total) < tolerance, total, terms, tolerance)
 
 
-def relation_json_dict(rel: Relation) -> dict:
-    return {
+def relation_json_line(rel: Relation) -> str:
+    """One-line JSON form, stable across runs for identical inputs."""
+    payload = {
         "pair": [list(rel.pair[0]), list(rel.pair[1])],
         "shuffle": rel.shuffle_expansion.to_json_dict(),
         "stuffle": rel.stuffle_expansion.to_json_dict(),
         "difference": rel.difference.to_json_dict(),
     }
-
-
-def relation_json_line(rel: Relation) -> str:
-    """One-line JSON form, stable across runs for identical inputs."""
-    return json.dumps(relation_json_dict(rel), separators=(",", ":"))
+    return json.dumps(payload, separators=(",", ":"))
 
 
 # Callers pass the product they look up at call time (``shuffle`` or

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .indices import Index, IndexClass, IndexSum, AdmissibilityError, classify, m_index
+from .indices import Index, IndexSum, AdmissibilityError, integer_form, is_admissible, m_index
 from .reduction import pi_plus
 from .shuffle import shuffle
 from .stuffle import stuffle
@@ -159,17 +159,15 @@ class Report:
     first_mismatch: int | None
     order: int
 
-    def to_json_dict(self) -> dict:
-        return {"pass": self.passed, "first_mismatch": self.first_mismatch, "order": self.order}
-
 
 def _integer_weights(combo: IndexSum, L: int) -> tuple[list[tuple[Index, int]], int]:
     """Integers w and D = Q * L^E, Q the denominator of ``combo`` and E the
     largest P(index), with sum of coeff * value(index) over ``combo`` equal to
     sum of w * value(index) * L^P(index) over the returned pairs, divided by D."""
-    terms = [(index, num, _positive_weight(index)) for index, num in combo._nums.items()]
+    den, items = integer_form(combo)
+    terms = [(index, num, _positive_weight(index)) for index, num in items]
     E = max((p for _, _, p in terms), default=0)
-    return [(index, num * L ** (E - p)) for index, num, p in terms], combo._den * L**E
+    return [(index, num * L ** (E - p)) for index, num, p in terms], den * L**E
 
 
 def _series_combination(combo: IndexSum, order: int, L: int) -> tuple[list[int], int]:
@@ -263,7 +261,7 @@ def zeta_real_approx(k: Index, terms: int) -> tuple[float, float]:
     variables <= ``terms``, for an admissible index, together with a crude
     tail-size hint. No convergence acceleration is applied."""
     k = tuple(k)
-    if classify(k) is not IndexClass.ADMISSIBLE:
+    if not is_admissible(k):
         raise AdmissibilityError(f"real evaluation requires an admissible index, got {k}")
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")

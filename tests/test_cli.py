@@ -241,16 +241,16 @@ def test_sum_commands_look_up_their_op_when_run(monkeypatch, capsys):
     "argv", [("m-index", "(1)"), ("shuffle", "(1,-100,2)", "(3)")], ids=["short", "long"]
 )
 def test_closed_stdout_exits_1_silently(argv):
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "mzvint.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=ENV,
-    )
-    # the read end closes long before the child has started up and written
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait() == 1
+    ) as proc:
+        # the read end closes long before the child has started up and written
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 1
     assert err == b""
 
 

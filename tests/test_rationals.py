@@ -1,4 +1,4 @@
-"""Bernoulli numbers, power-sum polynomials, and rational text forms."""
+"""Bernoulli numbers, power-sum polynomials, and the rational text form."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from mzvint.rationals import bernoulli, format_rational
+from mzvint.indices import _ratio_text
+from mzvint.rationals import bernoulli
 from mzvint.reduction import reduce_step
 
 
@@ -24,25 +25,24 @@ def bernoulli_plus_oracle(n: int) -> list[Fraction]:
 
 
 def test_bernoulli_one_signs():
-    assert bernoulli(1, "plus") == Fraction(1, 2)
-    assert bernoulli(1, "minus") == Fraction(-1, 2)
+    # B_1 = -1/2 here; the plus family's +1/2 is checked against the triangle oracle
+    assert bernoulli(1) == Fraction(-1, 2)
 
 
 def test_bernoulli_zero():
-    assert bernoulli(0, "plus") == 1
-    assert bernoulli(0, "minus") == 1
+    assert bernoulli(0) == 1
 
 
 def test_bernoulli_small_values():
-    assert bernoulli(2, "minus") == Fraction(1, 6)
-    assert bernoulli(3, "minus") == 0
+    assert bernoulli(2) == Fraction(1, 6)
+    assert bernoulli(3) == 0
 
 
 def test_bernoulli_matches_triangle_oracle():
     # B_0..B_101: past MAX_ENTRY = 100, the largest |entry| the command line accepts
     oracle = bernoulli_plus_oracle(101)
     for n in range(102):
-        assert bernoulli(n, "plus") == oracle[n]
+        assert (-1) ** n * bernoulli(n) == oracle[n]
 
 
 def test_bernoulli_matches_sympy():
@@ -50,27 +50,17 @@ def test_bernoulli_matches_sympy():
     sympy = pytest.importorskip("sympy", minversion="1.12")
     for n in range(102):
         expected = sympy.bernoulli(n)
-        assert bernoulli(n, "plus") == Fraction(int(expected.p), int(expected.q)), n
-
-
-def test_bernoulli_families_agree_except_at_one():
-    for n in range(0, 25):
-        plus, minus = bernoulli(n, "plus"), bernoulli(n, "minus")
-        if n == 1:
-            assert plus == -minus
-        else:
-            assert plus == minus
+        assert (-1) ** n * bernoulli(n) == Fraction(int(expected.p), int(expected.q)), n
 
 
 def test_bernoulli_odd_vanish():
     for n in range(3, 31, 2):
-        assert bernoulli(n, "plus") == 0
-        assert bernoulli(n, "minus") == 0
+        assert bernoulli(n) == 0
 
 
 def test_bernoulli_results_in_lowest_terms():
     for n in range(0, 20):
-        value = bernoulli(n, "minus")
+        value = bernoulli(n)
         assert value.denominator > 0
         from math import gcd
 
@@ -79,17 +69,15 @@ def test_bernoulli_results_in_lowest_terms():
 
 def test_bernoulli_rejects_negative():
     with pytest.raises(ValueError):
-        bernoulli(-1, "plus")
-    with pytest.raises(ValueError):
-        bernoulli(2, "positive")
+        bernoulli(-1)
 
 
 def test_bernoulli_memoization_transparent():
-    first = [bernoulli(n, "minus") for n in range(40)]
-    second = [bernoulli(n, "minus") for n in range(40)]
+    first = [bernoulli(n) for n in range(40)]
+    second = [bernoulli(n) for n in range(40)]
     assert first == second
     with ThreadPoolExecutor(max_workers=8) as pool:
-        concurrent = list(pool.map(lambda n: bernoulli(n, "minus"), range(40)))
+        concurrent = list(pool.map(bernoulli, range(40)))
     assert concurrent == first
 
 
@@ -146,13 +134,13 @@ def test_faulhaber_matches_literal_sums(bound):
 
 
 def test_rational_serialization():
-    assert format_rational(Fraction(1, 2)) == "1/2"
-    assert format_rational(Fraction(-3, 4)) == "-3/4"
-    assert format_rational(Fraction(5)) == "5"
-    assert format_rational(7) == "7"
-    for zero in (0, Fraction(0), Fraction(0, 5)):
-        assert format_rational(zero) == "0"
-    assert format_rational(-7) == "-7"
-    assert format_rational(Fraction(-6, 3)) == "-2"
-    assert format_rational(Fraction(6, -4)) == "-3/2"
-    assert format_rational(Fraction(10**30 + 1, 10**30)) == f"{10**30 + 1}/{10**30}"
+    # the engine's one rational text form, num/den with den > 0
+    assert _ratio_text(1, 2) == "1/2"
+    assert _ratio_text(-3, 4) == "-3/4"
+    assert _ratio_text(5, 1) == "5"
+    for den in (1, 5):
+        assert _ratio_text(0, den) == "0"
+    assert _ratio_text(-7, 1) == "-7"
+    assert _ratio_text(-6, 3) == "-2"
+    assert _ratio_text(6, 4) == "3/2"
+    assert _ratio_text(10**30 + 1, 10**30) == f"{10**30 + 1}/{10**30}"

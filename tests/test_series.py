@@ -207,11 +207,6 @@ def test_verify_stuffle_examples():
     assert verify_stuffle((), (5,), 20).passed
 
 
-def test_report_json_shape():
-    report = verify_reduction((0, 3), 12)
-    assert report.to_json_dict() == {"pass": True, "first_mismatch": None, "order": 12}
-
-
 def test_zeta_real_single_two():
     value, hint = zeta_real_approx((2,), 100000)
     assert abs(value - ZETA_2) < 1e-4
