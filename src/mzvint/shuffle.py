@@ -30,6 +30,13 @@ its key. On random pairs the recursion has never gone more than one level
 deeper than the two words have letters (the tests check this), so it needs
 no budget of its own; ``MAX_LETTERS`` in ``mzvint.cli`` keeps command-line
 input below CPython's frame limit.
+
+The unit rule and the y-rule run as a loop in front of the memo, not as
+levels of the recursion: the value of a pair with a leading y is its
+child's value with a zero block in front, so only the pairs that the d- and
+j-rules open are memoized, and the zero blocks are put back as each term is
+built. A memo entry is two parallel tuples, the terms' blocks and their
+integer coefficients.
 """
 
 from __future__ import annotations
@@ -43,6 +50,8 @@ __all__ = ["Blocks", "EMPTY_WORD", "word_from_index", "index_from_word", "shuffl
 
 Blocks = tuple[int, ...]
 EMPTY_WORD: Blocks = (0,)
+# the terms' blocks and their integer coefficients, as two parallel tuples
+Entry = tuple[tuple[Blocks, ...], tuple[int, ...]]
 
 
 def word_from_index(k: Index) -> Blocks:
@@ -57,34 +66,42 @@ def index_from_word(w: Blocks) -> Index:
     return w[-2::-1]
 
 
-# Expansion results keyed by the (sorted) argument pair; values are tuples of
-# (blocks, integer coefficient). Entries are only ever written complete, so a
-# racing reader sees either nothing or the final value.
-_MEMO: dict[tuple[Blocks, Blocks], tuple[tuple[Blocks, int], ...]] = {}
+# Expansion results keyed by the sorted pair, in which neither word is empty
+# nor starts with y: a y-node is never stored. Each value is an ``Entry``.
+# Entries are only ever written complete, so a racing reader sees either
+# nothing or the final value.
+_MEMO: dict[tuple[Blocks, Blocks], Entry] = {}
 
 
-def _expand(bu: Blocks, bv: Blocks) -> tuple[tuple[Blocks, int], ...]:
-    if bu == EMPTY_WORD:
-        return ((bv, 1),)
-    if bv == EMPTY_WORD:
-        return ((bu, 1),)
-    if bv < bu:
-        bu, bv = bv, bu
+def _expand(bu: Blocks, bv: Blocks) -> tuple[Blocks, Entry]:
+    """``(prefix, entry)`` with bu # bv = sum of prefix + blocks times coeff
+    over ``zip(*entry)``: ``prefix`` holds the zero blocks of the leading y
+    letters, pulled out by the unit rule and the y-rule in a loop."""
+    prefix: Blocks = ()
+    while True:
+        if bu == EMPTY_WORD:
+            return prefix, ((bv,), (1,))
+        if bv == EMPTY_WORD:
+            return prefix, ((bu,), (1,))
+        if bv < bu:
+            bu, bv = bv, bu
+        if bu[0] == 0:
+            bu = bu[1:]
+        elif bv[0] == 0:
+            bv = bv[1:]
+        else:
+            break
+        prefix += (0,)
     key = (bu, bv)
     cached = _MEMO.get(key)
     if cached is not None:
-        return cached
+        return prefix, cached
 
     out: dict[Blocks, int] = {}
     hu, hv = bu[0], bv[0]
     # The product is symmetric, so each rule that applies to either factor
     # first moves that factor to the left.
-    if hu == 0 or hv == 0:  # a factor starts with y (it is not empty here)
-        if hu:
-            bu, bv = bv, bu
-        for blocks, coeff in _expand(bu[1:], bv):
-            add_term(out, (0,) + blocks, coeff)
-    elif hu < 0 or hv < 0:  # a factor starts with a d-run of length n
+    if hu < 0 or hv < 0:  # a factor starts with a d-run of length n
         if hu > 0:
             bu, bv = bv, bu
         n = -bu[0]
@@ -92,23 +109,32 @@ def _expand(bu: Blocks, bv: Blocks) -> tuple[tuple[Blocks, int], ...]:
         for t in range(n + 1):
             coeff = comb(n, t) if t % 2 == 0 else -comb(n, t)
             shifted = (bv[0] - t,) + bv[1:]
-            for blocks, inner in _expand(rest, shifted):
-                add_term(out, (blocks[0] - (n - t),) + blocks[1:], coeff * inner)
+            _add_shifted(out, *_expand(rest, shifted), t - n, coeff)
     else:  # both factors start with j
-        for blocks, coeff in _expand((hu - 1,) + bu[1:], bv):
-            add_term(out, (blocks[0] + 1,) + blocks[1:], coeff)
-        for blocks, coeff in _expand(bu, (hv - 1,) + bv[1:]):
-            add_term(out, (blocks[0] + 1,) + blocks[1:], coeff)
+        _add_shifted(out, *_expand((hu - 1,) + bu[1:], bv), 1, 1)
+        _add_shifted(out, *_expand(bu, (hv - 1,) + bv[1:]), 1, 1)
 
-    result = tuple(out.items())
-    _MEMO[key] = result
-    return result
+    entry = (tuple(out), tuple(out.values()))
+    _MEMO[key] = entry
+    return prefix, entry
+
+
+def _add_shifted(out: dict[Blocks, int], prefix: Blocks, entry: Entry, shift: int, scale: int) -> None:
+    """Add scale times the word j^shift (prefix + blocks) of each term of an
+    ``_expand`` result to ``out``; a negative shift is a run of d."""
+    if prefix:
+        head = (prefix[0] + shift,) + prefix[1:]
+        for blocks, coeff in zip(*entry):
+            add_term(out, head + blocks, scale * coeff)
+    else:
+        for blocks, coeff in zip(*entry):
+            add_term(out, (blocks[0] + shift,) + blocks[1:], scale * coeff)
 
 
 def _pair(k: Index, k2: Index) -> Iterator[tuple[Index, int]]:
     # lazy: bilinear gathers all pairs before summing, so a list would copy every memo entry
-    terms = _expand(word_from_index(k), word_from_index(k2))
-    return ((index_from_word(blocks), coeff) for blocks, coeff in terms)
+    prefix, entry = _expand(word_from_index(k), word_from_index(k2))
+    return ((index_from_word(prefix + blocks), coeff) for blocks, coeff in zip(*entry))
 
 
 def shuffle(a: IndexSumLike, b: IndexSumLike) -> IndexSum:

@@ -10,10 +10,10 @@ from fractions import Fraction
 from math import comb
 
 from mzvint import clear_caches
-from mzvint.indices import IndexSum, m_index, m_of_sum
+from mzvint.indices import IndexSum, add_term, bilinear, m_index, m_of_sum
 from mzvint.reduction import pi_plus
 from mzvint.series import combination_series, mpl_coefficients, verify_shuffle
-from mzvint.shuffle import shuffle
+from mzvint.shuffle import EMPTY_WORD, index_from_word, shuffle, word_from_index
 
 
 def euler_product(a: int, b: int) -> IndexSum:
@@ -310,4 +310,103 @@ def test_expand_depth_within_letters_plus_one(monkeypatch):
         shuffle(k, k2)
         letters = len(k) + sum(map(abs, k)) + len(k2) + sum(map(abs, k2))
         assert peak <= letters + 1, (k, k2)
+    clear_caches()
+
+
+# ---------------------------------------------------------------------------
+# the memo kernel against the rewriting it replaced, which stored every
+# y-node and kept each entry as one (blocks, coeff) pair per term
+
+_REFERENCE_MEMO: dict = {}
+
+
+def reference_expand(bu, bv):
+    if bu == EMPTY_WORD:
+        return ((bv, 1),)
+    if bv == EMPTY_WORD:
+        return ((bu, 1),)
+    if bv < bu:
+        bu, bv = bv, bu
+    key = (bu, bv)
+    cached = _REFERENCE_MEMO.get(key)
+    if cached is not None:
+        return cached
+
+    out: dict = {}
+    hu, hv = bu[0], bv[0]
+    if hu == 0 or hv == 0:
+        if hu:
+            bu, bv = bv, bu
+        for blocks, coeff in reference_expand(bu[1:], bv):
+            add_term(out, (0,) + blocks, coeff)
+    elif hu < 0 or hv < 0:
+        if hu > 0:
+            bu, bv = bv, bu
+        n = -bu[0]
+        rest = (0,) + bu[1:]
+        for t in range(n + 1):
+            coeff = comb(n, t) if t % 2 == 0 else -comb(n, t)
+            shifted = (bv[0] - t,) + bv[1:]
+            for blocks, inner in reference_expand(rest, shifted):
+                add_term(out, (blocks[0] - (n - t),) + blocks[1:], coeff * inner)
+    else:
+        for blocks, coeff in reference_expand((hu - 1,) + bu[1:], bv):
+            add_term(out, (blocks[0] + 1,) + blocks[1:], coeff)
+        for blocks, coeff in reference_expand(bu, (hv - 1,) + bv[1:]):
+            add_term(out, (blocks[0] + 1,) + blocks[1:], coeff)
+
+    result = tuple(out.items())
+    _REFERENCE_MEMO[key] = result
+    return result
+
+
+def reference_shuffle(k, k2):
+    def pair(k, k2):
+        terms = reference_expand(word_from_index(k), word_from_index(k2))
+        return ((index_from_word(blocks), coeff) for blocks, coeff in terms)
+
+    return bilinear(k, k2, pair)
+
+
+# the m-formula case that set the verify memory peak (verify seed 65)
+SEED_65_PAIR = ((-2, -3, -4, -4), (0, -1, 2, -4))
+
+
+def test_kernel_matches_reference_term_order():
+    rng = random.Random(1515)
+    pairs = [(_sample(rng, 3, -4, 4), _sample(rng, 3, -4, 4)) for _ in range(300)]
+    # d-runs like the cold CLI's shuffle commands
+    pairs += [
+        ((-7, 2, 3), (4, 1, 2)),
+        ((-2, 1, 1), (3, 2)),
+        ((-5, 4), (1, 3, 2)),
+        ((-6, 1, 2), (5,)),
+        ((-3, 3, 1), (2, 2, 2)),
+        SEED_65_PAIR,
+    ]
+    # each route runs on a cold memo and then reuses it across the pairs
+    clear_caches()
+    got = [list(shuffle(k, k2)._nums.items()) for k, k2 in pairs]
+    clear_caches()
+    _REFERENCE_MEMO.clear()
+    expected = [list(reference_shuffle(k, k2)._nums.items()) for k, k2 in pairs]
+    _REFERENCE_MEMO.clear()
+    for pair, g, e in zip(pairs, got, expected):
+        assert g == e, pair
+
+
+def test_memo_stores_no_y_node_and_parallel_tuples():
+    module = importlib.import_module("mzvint.shuffle")
+    clear_caches()
+    shuffle(*SEED_65_PAIR)
+    memo = module._MEMO
+    for bu, bv in memo:
+        assert bu <= bv
+        for word in (bu, bv):
+            assert word != EMPTY_WORD and word[0] != 0, (bu, bv)
+    for blocks, coeffs in memo.values():
+        assert len(blocks) == len(coeffs)
+    # the kernel that stored y-nodes kept 221 entries of 131 146 terms
+    assert len(memo) <= 85
+    assert sum(len(blocks) for blocks, _ in memo.values()) <= 81_009
     clear_caches()
