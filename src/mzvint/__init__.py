@@ -11,13 +11,14 @@ The names exported here are the whole public surface: the index core and
 its sparse Q-linear combinations (``IndexSum``), the positive reduction,
 the two products, the relations and the oracles that certify them, and the
 Bernoulli numbers the reduction rests on; ``clear_caches`` empties every
-memo table. The word encoding (``mzvint.shuffle``), the
-shared checks (``mzvint.relations``) and the command line (``mzvint.cli``)
-stay in their modules.
+memo table listed in ``mzvint.indices.MEMO_TABLES``. The word encoding
+(``mzvint.shuffle``), the shared checks (``mzvint.relations``) and the
+command line (``mzvint.cli``) stay in their modules.
 """
 
 from .indices import (
     INFINITY,
+    MEMO_TABLES,
     AdmissibilityError,
     Index,
     IndexClass,
@@ -32,8 +33,8 @@ from .indices import (
     tail_index,
     weight,
 )
-from .rationals import _bernoulli_lower, bernoulli
-from .reduction import _pi_plus_index, pi_plus, reduce_step
+from .rationals import bernoulli
+from .reduction import pi_plus, reduce_step
 from .relations import (
     NumericReport,
     Relation,
@@ -42,9 +43,6 @@ from .relations import (
     verify_relation_numeric,
 )
 from .series import (
-    _harmonic_cached,
-    _mpl_cached,
-    _zeta_real_cached,
     Report,
     SeriesPoly,
     combination_series,
@@ -55,26 +53,18 @@ from .series import (
     verify_stuffle,
     zeta_real_approx,
 )
-from .shuffle import _MEMO, shuffle
-from .stuffle import _pair_sorted, stuffle
+from .shuffle import shuffle
+from .stuffle import stuffle
 
 __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty all seven memo tables: the shuffle and stuffle pair rules, the
-    positive reduction of single indices, the series, harmonic and
-    floating-point partial sums, and the Bernoulli numbers."""
-    _MEMO.clear()
-    for table in (
-        _pair_sorted,
-        _pi_plus_index,
-        _mpl_cached,
-        _harmonic_cached,
-        _zeta_real_cached,
-        _bernoulli_lower,
-    ):
-        table.cache_clear()
+    """Empty every table in ``MEMO_TABLES``: the shuffle and stuffle pair
+    rules, π⁺ of single indices, the oracles' partial sums and the Bernoulli
+    numbers. No table has a size bound; this is the one control on growth."""
+    for table in MEMO_TABLES:
+        table.clear() if isinstance(table, dict) else table.cache_clear()
 
 
 __all__ = [

@@ -267,8 +267,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        # a broken invariant (e.g. RecursionError): report it, no traceback
+    except (RuntimeError, SystemError) as exc:
+        # a broken invariant (e.g. RecursionError), or Python 3.11 out of memory (SystemError)
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Union
 
 __all__ = [
@@ -34,6 +35,8 @@ __all__ = [
     "integer_form",
     "bilinear",
     "m_of_sum",
+    "MEMO_TABLES",
+    "memo",
 ]
 
 Index = tuple[int, ...]
@@ -108,6 +111,15 @@ def is_regularizable(k: Index) -> bool:
 def format_index(k: Index) -> str:
     """Text form ``(k1,k2,...)``; ``()`` for the empty index."""
     return "(" + ",".join(str(e) for e in k) + ")"
+
+
+MEMO_TABLES: list = []  # every memo table, appended by the module defining it
+
+
+def memo(fn: Callable) -> Callable:
+    """``lru_cache(maxsize=None)(fn)``, listed in :data:`MEMO_TABLES`."""
+    MEMO_TABLES.append(lru_cache(maxsize=None)(fn))
+    return MEMO_TABLES[-1]
 
 
 TermsLike = Union[Mapping[Index, Fraction], Iterable[tuple[Index, Fraction]]]

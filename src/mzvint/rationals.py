@@ -9,13 +9,14 @@ that.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
+
+from .indices import memo
 
 __all__ = ["bernoulli"]
 
 
-@lru_cache(maxsize=None)
+@memo
 def _bernoulli_lower(n: int) -> Fraction:
     # B_1 = -1/2; B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the integer
     # tangent numbers T_k (Brent-Harvey 2011, algorithm TangentNumbers)

@@ -24,10 +24,9 @@ that same form: no Fraction is built on the way.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, lcm
 
-from .indices import Index, IndexSum, IndexSumLike, integer_form, integer_sum
+from .indices import Index, IndexSum, IndexSumLike, integer_form, integer_sum, memo
 from .rationals import bernoulli
 
 __all__ = ["reduce_step", "pi_plus"]
@@ -73,7 +72,7 @@ def reduce_step(k: Index) -> IndexSum:
     return IndexSum._over(*integer_sum(((1, *_reduce_at(k, m)),)))
 
 
-@lru_cache(maxsize=None)
+@memo
 def _pi_plus_index(k: Index) -> tuple[int, tuple[tuple[Index, int], ...]]:
     m = _reduction_position(k)
     if m is None:

@@ -46,7 +46,7 @@ __all__ = [
     "is_homomorphic",
 ]
 
-Product = Callable[[IndexSumLike, IndexSumLike], IndexSum]
+Product = Callable[[IndexSumLike, IndexSumLike], "IndexSum"]  # by name: typing's cache would pin the class
 
 
 def _require_admissible(k: Index) -> Index:

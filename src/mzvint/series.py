@@ -28,10 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
-from .indices import Index, IndexSum, AdmissibilityError, integer_form, is_admissible, m_index
+from .indices import Index, IndexSum, AdmissibilityError, integer_form, is_admissible, m_index, memo
 from .reduction import pi_plus
 from .shuffle import shuffle
 from .stuffle import stuffle
@@ -123,7 +122,7 @@ def _series_dp(k: Index, order: int) -> list[int]:
     return cur
 
 
-@lru_cache(maxsize=None)
+@memo
 def _mpl_cached(k: Index, order: int) -> tuple[int, ...]:
     return tuple(_series_dp(k, order))
 
@@ -136,7 +135,7 @@ def mpl_coefficients(k: Index, order: int) -> SeriesPoly:
     return SeriesPoly(tuple(Fraction(c, scale) for c in _mpl_cached(k, order)))
 
 
-@lru_cache(maxsize=None)
+@memo
 def _harmonic_cached(k: Index, bound: int) -> int:
     # H_N(k) = sum of c_n(k) over n <= N, at the same scale L^P(k); the
     # series is recomputed rather than read from _mpl_cached, which would
@@ -237,7 +236,7 @@ def verify_stuffle(k: Index, k2: Index, bound: int) -> Report:
     return Report(False, bound, bound)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _zeta_real_cached(k: Index, terms: int) -> tuple[float, float]:
     if not k:
         return 1.0, 0.0

@@ -44,7 +44,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterator
 
-from .indices import Index, IndexSum, IndexSumLike, add_term, bilinear
+from .indices import MEMO_TABLES, Index, IndexSum, IndexSumLike, add_term, bilinear
 
 __all__ = ["Blocks", "EMPTY_WORD", "word_from_index", "index_from_word", "shuffle"]
 
@@ -71,6 +71,7 @@ def index_from_word(w: Blocks) -> Index:
 # Entries are only ever written complete, so a racing reader sees either
 # nothing or the final value.
 _MEMO: dict[tuple[Blocks, Blocks], Entry] = {}
+MEMO_TABLES.append(_MEMO)
 
 
 def _expand(bu: Blocks, bv: Blocks) -> tuple[Blocks, Entry]:

@@ -14,9 +14,7 @@ sound because the recursion is symmetric in its two arguments.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .indices import Index, IndexSum, IndexSumLike, add_term, bilinear
+from .indices import Index, IndexSum, IndexSumLike, add_term, bilinear, memo
 
 __all__ = ["stuffle"]
 
@@ -32,7 +30,7 @@ def _pair(k: Index, k2: Index) -> tuple[tuple[Index, int], ...]:
     return _pair_sorted(k, k2)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _pair_sorted(k: Index, k2: Index) -> tuple[tuple[Index, int], ...]:
     a, b = k[-1], k2[-1]
     out: dict[Index, int] = {}

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import mzvint
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # the package-level names the benchmark harness calls
 BENCH_NAMES = (
@@ -29,3 +34,29 @@ def test_exported_names_resolve():
     assert set(BENCH_NAMES) <= set(mzvint.__all__)
     # the package attributes shadow the modules of the same name
     assert callable(mzvint.shuffle) and callable(mzvint.stuffle)
+
+
+def test_package_imports_no_private_name():
+    # dunders are allowed; a private name here means __init__ reached into a module
+    private = [name for name in vars(mzvint) if name.startswith("_") and not name.startswith("__")]
+    assert private == []
+
+
+def test_reimport_leaves_one_copy_of_each_module():
+    # the benchmark re-imports the package; a class held in typing's cache of
+    # subscriptions would keep every old mzvint.indices alive, and through
+    # MEMO_TABLES every module that defines a memo table
+    code = """
+import collections, gc, importlib, sys
+for _ in range(3):
+    for name in [m for m in sys.modules if m.split(".")[0] == "mzvint"]:
+        del sys.modules[name]
+    importlib.import_module("mzvint")
+gc.collect()
+names = [o["__name__"] for o in gc.get_objects() if isinstance(o, dict) and "__builtins__" in o and "__file__" in o]
+print(sorted(n for n, c in collections.Counter(names).items() if c > 1 and n.split(".")[0] == "mzvint"))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
