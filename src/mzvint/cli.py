@@ -27,6 +27,7 @@ from .indices import (
     classify,
     format_index,
     m_index,
+    terms_json,
 )
 from .reduction import pi_plus
 from .relations import dsr_relation, is_homomorphic, min_formula_holds, relation_json_line
@@ -116,7 +117,7 @@ def _cmd_m_index(args: argparse.Namespace) -> int:
 def _cmd_sum(args: argparse.Namespace) -> int:
     # look the op up when the command runs, so rebinding it here is seen
     s = globals()[args.op](*map(parse_index, args.indices))
-    print(s.pretty() if args.pretty else _dumps(s.to_json_dict()))
+    print(s.pretty() if args.pretty else terms_json(s)[0])
     return 0
 
 

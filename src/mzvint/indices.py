@@ -33,6 +33,7 @@ __all__ = [
     "add_term",
     "integer_sum",
     "integer_form",
+    "terms_json",
     "bilinear",
     "m_of_sum",
     "MEMO_TABLES",
@@ -281,13 +282,20 @@ class IndexSum:
     def __repr__(self) -> str:
         return f"IndexSum<{self.pretty()}>"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "terms": [
-                {"coeff": _ratio_text(num, self._den), "index": list(index)}
-                for index, num in self._sorted_nums()
-            ]
-        }
+
+def terms_json(*sums: IndexSum) -> list[str]:
+    """The ``{"terms":[{"coeff":"p/q","index":[k1,...]},...]}`` text of each sum in
+    canonical order, from one sort of their joint support and one text per index."""
+    order = sorted(set().union(*(s._nums for s in sums)), key=lambda index: (len(index), index))
+    tails = [(index, ',"index":[' + ",".join(map(str, index)) + "]}") for index in order]
+    texts = []
+    for s in sums:
+        den, get = s._den, s._nums.get
+        texts.append('{"terms":[' + ",".join(
+            f'{{"coeff":"{num if den == 1 else _ratio_text(num, den)}"{tail}'
+            for index, tail in tails if (num := get(index)) is not None
+        ) + "]}")
+    return texts
 
 
 def m_of_sum(s: IndexSum) -> int | float:

@@ -11,23 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .indices import memo
+from .indices import MEMO_TABLES
 
 __all__ = ["bernoulli"]
 
 
-@memo
-def _bernoulli_lower(n: int) -> Fraction:
-    # B_1 = -1/2; B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the integer
-    # tangent numbers T_k (Brent-Harvey 2011, algorithm TangentNumbers)
-    if n < 2 or n % 2:
-        return {0: Fraction(1), 1: Fraction(-1, 2)}.get(n, Fraction(0))
-    k = n // 2
-    t = [factorial(j) for j in range(k)]  # t[j] is T_(j+1) once every pass is done
-    for i in range(1, k):
-        for j in range(i, k):
-            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
-    return Fraction((-1) ** (k - 1) * n * t[-1], 4**k * (4**k - 1))
+_bernoulli_lower: dict[int, Fraction] = {}  # B_n by n; a miss at n fills B_0..B_n, and B_(n+1) = 0 for even n
+MEMO_TABLES.append(_bernoulli_lower)
 
 
 def bernoulli(n: int) -> Fraction:
@@ -40,4 +30,17 @@ def bernoulli(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError(f"Bernoulli index must be non-negative, got {n}")
-    return _bernoulli_lower(n)
+    value = _bernoulli_lower.get(n)
+    if value is not None:
+        return value
+    # B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the integer tangent numbers
+    # T_1..T_(n/2) of one triangle (Brent-Harvey 2011, algorithm TangentNumbers)
+    t = [factorial(j) for j in range(n // 2)]  # t[j] is T_(j+1) once every pass is done
+    for i in range(1, len(t)):
+        for j in range(i, len(t)):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    values = {0: Fraction(1), 1: Fraction(-1, 2), **dict.fromkeys(range(3, n + 2, 2), Fraction(0))}
+    for k, tk in enumerate(t, 1):  # an ascending fill builds each Fraction once
+        values[2 * k] = _bernoulli_lower.get(2 * k) or Fraction((-1) ** (k - 1) * 2 * k * tk, 4**k * (4**k - 1))
+    _bernoulli_lower.update(values)
+    return values[n]

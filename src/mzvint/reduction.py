@@ -45,7 +45,7 @@ def _reduce_at(k: Index, m: int) -> tuple[int, list[tuple[Index, int]]]:
     # except B^+_1 = -B^-_1: one lookup per i serves both families
     km = k[m - 1]
     n = -km  # >= 0
-    bs = [bernoulli(i) for i in range(n + 1)]
+    bs = [bernoulli(i) for i in range(n, -1, -1)][::-1]  # B_n first: its one pass fills B_0..B_n
     scale = lcm(*(b.denominator for b in bs))
     nums = [(i, comb(n + 1, i) * b.numerator * (scale // b.denominator)) for i, b in enumerate(bs) if b]
     den = (n + 1) * scale

@@ -9,16 +9,16 @@ certified linear relation among positive admissible zeta values. Because
 the positive reduction is a homomorphism for both products, each pair is
 reduced first and the two positive combinations are then multiplied: the
 result is the reduction of the raw product, without the d-rule recursion
-on the raw pair or the reduction of its often much larger product.
+on the raw pair or the reduction of its often much larger product. The
+JSON line writes all three sums from one sort of the two expansions'
+joint support, which holds the difference's.
 
-The checks that both products obey the min-formula for the
-regularizability index and that the positive reduction is a homomorphism
-for both are here too, shared by ``mzvint verify`` and the tests.
+The checks that both products obey the min-formula and that π⁺ is a
+homomorphism for both are here too, shared by ``mzvint verify`` and the tests.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,6 +30,7 @@ from .indices import (
     is_admissible,
     m_index,
     m_of_sum,
+    terms_json,
 )
 from .reduction import pi_plus
 from .series import zeta_real_approx
@@ -73,12 +74,13 @@ class Relation:
     difference: IndexSum
 
 
-def _check_positive_admissible(s: IndexSum, what: str) -> None:
-    # the empty index is vacuously positive and admissible
-    for index in s.support():
-        if (index and min(index) <= 0) or not is_admissible(index):
+def _check_positive_admissible(shuffle_expansion: IndexSum, stuffle_expansion: IndexSum) -> None:
+    # positive: entries >= 1, so admissible iff the last is >= 2; () is vacuously both
+    for index in shuffle_expansion.support() | stuffle_expansion.support():
+        if index and (index[-1] < 2 or min(index) < 1):
+            what = "shuffle" if shuffle_expansion.coefficient(index) else "stuffle"
             raise RuntimeError(
-                f"{what} contains the non positive-admissible index {index}; "
+                f"{what} expansion contains the non positive-admissible index {index}; "
                 "this contradicts the closure guarantees and indicates a bug"
             )
 
@@ -98,8 +100,7 @@ def dsr_relation(k: Index, k2: Index) -> Relation:
     a, b = pi_plus(k), pi_plus(k2)
     shuffle_expansion = shuffle(a, b)
     stuffle_expansion = stuffle(a, b)
-    _check_positive_admissible(shuffle_expansion, "shuffle expansion")
-    _check_positive_admissible(stuffle_expansion, "stuffle expansion")
+    _check_positive_admissible(shuffle_expansion, stuffle_expansion)
     return Relation(
         pair=(k, k2),
         shuffle_expansion=shuffle_expansion,
@@ -135,13 +136,9 @@ def verify_relation_numeric(rel: Relation, terms: int, tolerance: float) -> Nume
 
 def relation_json_line(rel: Relation) -> str:
     """One-line JSON form, stable across runs for identical inputs."""
-    payload = {
-        "pair": [list(rel.pair[0]), list(rel.pair[1])],
-        "shuffle": rel.shuffle_expansion.to_json_dict(),
-        "stuffle": rel.stuffle_expansion.to_json_dict(),
-        "difference": rel.difference.to_json_dict(),
-    }
-    return json.dumps(payload, separators=(",", ":"))
+    left, right = (",".join(map(str, k)) for k in rel.pair)
+    texts = terms_json(rel.shuffle_expansion, rel.stuffle_expansion, rel.difference)
+    return '{"pair":[[%s],[%s]],"shuffle":%s,"stuffle":%s,"difference":%s}' % (left, right, *texts)
 
 
 # Callers pass the product they look up at call time (``shuffle`` or

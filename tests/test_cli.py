@@ -13,6 +13,9 @@ import pytest
 
 import mzvint.cli as cli
 from mzvint.cli import MAX_ENTRY, MAX_EVAL_TERMS, MAX_LETTERS, IndexSyntaxError, main, parse_index
+from mzvint.reduction import pi_plus
+from mzvint.shuffle import shuffle
+from mzvint.stuffle import stuffle
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
@@ -101,6 +104,23 @@ def test_pretty_output_pinned(capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "9b948a1e62607c0f98dc9e7757a88680fcb4e2fdc391bd27003fef03c70034f0"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, op",
+    [
+        (("pi-plus", "(1,-3,4)"), lambda: pi_plus((1, -3, 4))),
+        (("pi-plus", "(-2,-1,3)"), lambda: pi_plus((-2, -1, 3))),
+        (("pi-plus", "()"), lambda: pi_plus(())),
+        (("shuffle", "(1,-2)", "(0,3)"), lambda: shuffle((1, -2), (0, 3))),
+        (("stuffle", "(1,-3)", "(2,-1)"), lambda: stuffle((1, -3), (2, -1))),
+        (("stuffle", "()", "()"), lambda: stuffle((), ())),
+    ],
+)
+def test_sum_commands_match_json_dumps(capsys, argv, op):
+    s = op()
+    terms = [{"coeff": str(c), "index": list(index)} for index, c in s.terms()]
+    assert run_cli(capsys, *argv) == (0, json.dumps({"terms": terms}, separators=(",", ":")) + "\n", "")
 
 
 def test_shuffle_and_stuffle_commands(capsys):

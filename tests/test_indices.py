@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from mzvint.indices import (
     m_index,
     m_of_sum,
     tail_index,
+    terms_json,
     weight,
 )
 
@@ -195,9 +197,11 @@ def test_index_sum_arithmetic_matches_reference(t1, t2, x):
         c = a.coefficient(index)
         assert type(c) is Fraction and c == ra.get(index, 0)
     assert a.terms() == sorted(ra.items(), key=lambda item: (len(item[0]), item[0]))
-    assert a.to_json_dict()["terms"] == [
+    assert json.loads(terms_json(a)[0])["terms"] == [
         {"coeff": str(c), "index": list(index)} for index, c in a.terms()
     ]
+    # a joint support writes each sum as it is written alone
+    assert terms_json(a, b, a - b) == [*terms_json(a), *terms_json(b), *terms_json(a - b)]
 
 
 def test_canonical_term_order_by_depth_then_lex():
@@ -207,7 +211,7 @@ def test_canonical_term_order_by_depth_then_lex():
 
 def test_json_round_trip_and_shape():
     s = IndexSum([((2,), 1), ((3,), -1)])
-    data = s.to_json_dict()
+    data = json.loads(terms_json(s)[0])
     assert data == {
         "terms": [
             {"coeff": "1", "index": [2]},

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+import mzvint.rationals as rationals
+from mzvint import clear_caches
 from mzvint.indices import _ratio_text
 from mzvint.rationals import bernoulli
 from mzvint.reduction import reduce_step
@@ -43,6 +45,21 @@ def test_bernoulli_matches_triangle_oracle():
     oracle = bernoulli_plus_oracle(101)
     for n in range(102):
         assert (-1) ** n * bernoulli(n) == oracle[n]
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_bernoulli_cold_fills_match_triangle_oracle(order):
+    oracle = bernoulli_plus_oracle(101)
+    ns = range(102) if order == "ascending" else range(101, -1, -1)
+    clear_caches()
+    assert [(-1) ** n * bernoulli(n) for n in ns] == [oracle[n] for n in ns]
+
+
+def test_bernoulli_miss_fills_every_lower_value():
+    clear_caches()
+    bernoulli(100)
+    assert set(rationals._bernoulli_lower) >= set(range(101))
+    assert all((-1) ** n * rationals._bernoulli_lower[n] == b for n, b in enumerate(bernoulli_plus_oracle(100)))
 
 
 def test_bernoulli_matches_sympy():

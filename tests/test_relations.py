@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -119,7 +120,45 @@ def test_relation_json_shape_and_stability():
     assert data["pair"] == [[2], [3]]
     assert set(data) == {"pair", "shuffle", "stuffle", "difference"}
     assert data["difference"]["terms"][0] == {"coeff": "-1", "index": [5]}
-    assert data["shuffle"] == rel.shuffle_expansion.to_json_dict()
+    assert data["shuffle"] == reference_terms(rel.shuffle_expansion)
+    assert line1 == reference_json_line(rel)
+
+
+def reference_terms(s):
+    return {"terms": [{"coeff": str(c), "index": list(index)} for index, c in s.terms()]}
+
+
+def reference_json_line(rel):
+    """The line as ``json.dumps`` writes it: the reference for the text the
+    one-pass writer builds by hand."""
+    payload = {
+        "pair": [list(rel.pair[0]), list(rel.pair[1])],
+        "shuffle": reference_terms(rel.shuffle_expansion),
+        "stuffle": reference_terms(rel.stuffle_expansion),
+        "difference": reference_terms(rel.difference),
+    }
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def test_relation_json_line_matches_json_dumps_on_edge_cases():
+    # an empty difference, and an empty index in the pair
+    rel = dsr_relation((), (2,))
+    assert rel.difference == IndexSum()
+    assert relation_json_line(rel).endswith(',"difference":{"terms":[]}}')
+    # non-integer coefficients: pi_plus((1, -3, 4)) has denominators, and so
+    # does the relation of (-1, 4)
+    reduced = pi_plus((1, -3, 4))
+    rel = Relation(((1, -3, 4), ()), reduced, -reduced, reduced + reduced)
+    assert "/" in relation_json_line(rel) and "/" in relation_json_line(dsr_relation((-1, 4), (2,)))
+    # coefficients of more than 20 digits, over a common denominator that
+    # some numerators share
+    big = Fraction(10**25 + 1, 3)
+    shuffle_expansion = IndexSum([((2, 3), big), ((5,), Fraction(1, 3)), ((1, 4), 2)])
+    stuffle_expansion = IndexSum([((2, 3), -big), ((3, 2), Fraction(10**22, 7))])
+    wide = Relation(((2,), (3,)), shuffle_expansion, stuffle_expansion, shuffle_expansion - stuffle_expansion)
+    for r in (dsr_relation((), (2,)), rel, dsr_relation((-1, 4), (2,)), wide):
+        assert relation_json_line(r) == reference_json_line(r)
+    assert str(2 * big) in relation_json_line(wide)
 
 
 def reference_relation(k, k2):
@@ -143,6 +182,12 @@ SWEEP_BOX = [
     for k in itertools.product(range(-2, 5), repeat=d)
     if sum(k) <= 5 and is_admissible(k)
 ]
+
+
+def test_relation_json_line_matches_json_dumps_on_sweep_box():
+    for k, k2 in itertools.combinations_with_replacement(SWEEP_BOX, 2):
+        rel = dsr_relation(k, k2)
+        assert relation_json_line(rel) == reference_json_line(rel), (k, k2)
 
 
 def test_reduce_first_matches_reference_route_on_sweep_box():
@@ -173,3 +218,19 @@ def test_positivity_guard_stays_live(monkeypatch):
     monkeypatch.setattr(relations, "shuffle", lambda a, b: IndexSum.single((0, 2)))
     with pytest.raises(RuntimeError, match=r"shuffle expansion contains .*\(0, 2\)"):
         dsr_relation((2,), (3,))
+
+
+@pytest.mark.parametrize("product", ["shuffle", "stuffle"])
+@pytest.mark.parametrize("bad", [(0, 2), (2, 1), (1,), (3, -1, 4), (2, 2, 1)])
+def test_positivity_guard_names_each_bad_index(monkeypatch, product, bad):
+    # (0, 2) and (3, -1, 4) are admissible but not positive; (2, 1) and (1,) are
+    # positive but not admissible; the good term keeps the support mixed
+    monkeypatch.setattr(relations, product, lambda a, b: IndexSum([((2, 3), 1), (bad, 1)]))
+    with pytest.raises(RuntimeError, match=rf"{product} expansion contains .*{re.escape(str(bad))}"):
+        dsr_relation((2,), (3,))
+
+
+def test_positivity_guard_passes_positive_admissible_support(monkeypatch):
+    out = IndexSum([((), 1), ((2,), 1), ((1, 1, 2), 1)])
+    monkeypatch.setattr(relations, "shuffle", lambda a, b: out)
+    assert dsr_relation((2,), (3,)).shuffle_expansion == out
