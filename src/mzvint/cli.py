@@ -41,6 +41,10 @@ DEFAULT_SERIES_ORDER = 60
 DEFAULT_HARMONIC_ORDER = 50
 # eval keeps two float lists of --terms + 1 entries (about 75 MB at this bound)
 MAX_EVAL_TERMS = 1_000_000
+# verify --order: a series check costs about N^3; the dearest shuffle case of
+# the corpus, (3,-3,-3) with itself, takes about 9 s and 22 MB at this bound
+# on a shared 2-core x86-64 host
+MAX_ORDER = 500
 # |entry| bound of parsed indices: the positive reduction behind pi-plus and
 # the shuffle recursion both grow steeply with the largest entry
 MAX_ENTRY = 100
@@ -167,6 +171,8 @@ def _sample_index(rng: random.Random, max_depth: int, lo: int, hi: int) -> Index
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.cases < 0:
         raise ValueError(f"--cases must be >= 0, got {args.cases}")
+    if args.order is not None and args.order > MAX_ORDER:
+        raise ValueError(f"--order must be <= {MAX_ORDER}, got {args.order}")
     any_failed = False
     for suite in SUITES if args.suite == "all" else (args.suite,):
         per_case, max_depth, lo, hi, check_name, order = SUITES[suite]
@@ -218,7 +224,8 @@ COMMANDS = {
         ("--cases", {"type": int, "default": 100}),
         ("--order", {"type": int, "default": None, "help": "truncation order of the reduction "
          "and shuffle series checks and bound of the stuffle harmonic check, for every such "
-         f"case (defaults: {DEFAULT_SERIES_ORDER} series, {DEFAULT_HARMONIC_ORDER} harmonic)"}),
+         f"case, 1..{MAX_ORDER} (defaults: {DEFAULT_SERIES_ORDER} series, "
+         f"{DEFAULT_HARMONIC_ORDER} harmonic)"}),
     ]),
     "eval": ("floating-point estimate of an admissible zeta value", {"func": _cmd_eval}, [
         ("index", {}),

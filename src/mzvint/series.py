@@ -5,9 +5,16 @@ For an index (k_1, ..., k_r) the attached power series has coefficients
     c_n = sum over 0 < n_1 < ... < n_r = n of prod n_i^{-k_i}
 
 and the truncated harmonic sum relaxes n_r = n to n_r <= N, so it is
-c_0 + ... + c_N. One prefix-sum dynamic program computes c_0..c_N in
-O(depth * N) operations; it provides brute-force ground truth for the
-reduction map and both products without sharing any code with them.
+c_0 + ... + c_N. The series of (k_1, ..., k_i) is a prefix sum of that of
+(k_1, ..., k_{i-1}) times n^{-k_i}: a stage of O(N) operations. A linear
+combination is evaluated by one depth-first walk over the suffix tree of
+its indices. Each index adds its weight to the constant term of its own
+node, and each finished node (e,) + s goes through the stage of e into the
+vector of node s; the root's vector is the combination's series. So a
+combination costs O(N) operations per distinct non-empty suffix of its
+indices and holds at most depth + 1 vectors. It provides brute-force
+ground truth for the reduction map and both products without sharing any
+code with them.
 
 The dynamic program runs on Python integers only. With L = lcm(1..N) and
 P(k) the sum of the positive entries of k, every n <= N divides L, so
@@ -28,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import add, mul
 from typing import Sequence
 
 from .indices import Index, IndexSum, AdmissibilityError, integer_form, is_admissible, m_index, memo
@@ -97,34 +106,37 @@ def _positive_weight(k: Index) -> int:
 
 
 def _stage_factors(entry: int, L: int, bound: int) -> list[int]:
-    """n^{-entry} * L^{max(entry, 0)} for n = 0..bound (n = 0 unused)."""
+    """n^{-entry} * L^{max(entry, 0)} for n = 1..bound."""
     if entry > 0:
-        return [0] + [(L // n) ** entry for n in range(1, bound + 1)]
-    return [0] + [n ** (-entry) for n in range(1, bound + 1)]
+        return [(L // n) ** entry for n in range(1, bound + 1)]
+    return [n ** (-entry) for n in range(1, bound + 1)]
 
 
-def _series_dp(k: Index, order: int) -> list[int]:
-    """c_n(k) * L^P(k) for n = 0..order, with L = lcm(1..order)."""
-    # cur[n] after processing t entries = coefficient of the depth-t prefix
-    # series at z^n times L^P(prefix); the depth-0 series is the constant 1.
-    L = _lcm_upto(order)
-    cur = [0] * (order + 1)
-    cur[0] = 1
-    for entry in k:
-        factors = _stage_factors(entry, L, order)
-        nxt = [0] * (order + 1)
-        prefix = 0
-        for n in range(1, order + 1):
-            prefix += cur[n - 1]
-            if prefix:
-                nxt[n] = prefix * factors[n]
-        cur = nxt
-    return cur
+def _series_dp(weights: Sequence[tuple[Index, int]], order: int, L: int) -> list[int]:
+    """Sum of w * c_n(k) * L^P(k) over the pairs (k, w), for n = 0..order,
+    with L = lcm(1..order), by one walk of the suffix tree of the indices."""
+    zeros = [0] * (order + 1)
+    factors: dict[int, list[int]] = {}
+    path: list[Index] = [()]  # the suffixes on the walk's current path
+    vecs = [zeros[:]]  # and their vectors, root first
+    # sorted by reversed entries, indices that share a suffix come together;
+    # the closing empty index finishes every suffix left on the path
+    for k, w in [*sorted(weights, key=lambda item: item[0][::-1]), ((), 0)]:
+        while k[len(k) - len(path[-1]) :] != path[-1]:  # not a suffix of k: finished
+            entry, vec = path.pop()[0], vecs.pop()
+            if entry not in factors:
+                factors[entry] = _stage_factors(entry, L, order)
+            vecs[-1][1:] = map(add, vecs[-1][1:], map(mul, accumulate(vec[:-1]), factors[entry]))
+        for depth in range(len(path[-1]) + 1, len(k) + 1):
+            path.append(k[-depth:])
+            vecs.append(zeros[:])
+        vecs[-1][0] += w
+    return vecs[0]
 
 
 @memo
 def _mpl_cached(k: Index, order: int) -> tuple[int, ...]:
-    return tuple(_series_dp(k, order))
+    return tuple(_series_dp([(k, 1)], order, _lcm_upto(order)))
 
 
 def mpl_coefficients(k: Index, order: int) -> SeriesPoly:
@@ -137,10 +149,8 @@ def mpl_coefficients(k: Index, order: int) -> SeriesPoly:
 
 @memo
 def _harmonic_cached(k: Index, bound: int) -> int:
-    # H_N(k) = sum of c_n(k) over n <= N, at the same scale L^P(k); the
-    # series is recomputed rather than read from _mpl_cached, which would
-    # keep a tuple per (k, bound) alive for nothing
-    return sum(_series_dp(k, bound))
+    # H_N(k) = sum of c_n(k) over n <= N, at the same scale L^P(k)
+    return sum(_series_dp([(k, 1)], bound, _lcm_upto(bound)))
 
 
 def harmonic_sum(k: Index, bound: int) -> Fraction:
@@ -159,26 +169,15 @@ class Report:
     order: int
 
 
-def _integer_weights(combo: IndexSum, L: int) -> tuple[list[tuple[Index, int]], int]:
-    """Integers w and D = Q * L^E, Q the denominator of ``combo`` and E the
-    largest P(index), with sum of coeff * value(index) over ``combo`` equal to
-    sum of w * value(index) * L^P(index) over the returned pairs, divided by D."""
+def _series_combination(combo: IndexSum, order: int, L: int) -> tuple[list[int], int]:
+    """Integers v_0..v_order and D = Q * L^E, Q the denominator of ``combo``
+    and E the largest P of its indices, with v_n / D the coefficient of z^n
+    in the series of ``combo``."""
     den, items = integer_form(combo)
     terms = [(index, num, _positive_weight(index)) for index, num in items]
     E = max((p for _, _, p in terms), default=0)
-    return [(index, num * L ** (E - p)) for index, num, p in terms], den * L**E
-
-
-def _series_combination(combo: IndexSum, order: int, L: int) -> tuple[list[int], int]:
-    """Integers v_0..v_order and D with v_n / D the coefficient of z^n in the
-    series of ``combo``."""
-    weights, den = _integer_weights(combo, L)
-    out = [0] * (order + 1)
-    for index, weight in weights:
-        for n, s in enumerate(_mpl_cached(index, order)):
-            if s:
-                out[n] += weight * s
-    return out, den
+    weights = [(index, num * L ** (E - p)) for index, num, p in terms]
+    return _series_dp(weights, order, L), den * L**E
 
 
 def _compare(
@@ -229,9 +228,8 @@ def verify_stuffle(k: Index, k2: Index, bound: int) -> Report:
     L = _lcm_upto(bound)
     lhs = _harmonic_cached(k, bound) * _harmonic_cached(k2, bound)
     lhs_den = L ** (_positive_weight(k) + _positive_weight(k2))
-    weights, rhs_den = _integer_weights(stuffle(k, k2), L)
-    rhs = sum(weight * _harmonic_cached(index, bound) for index, weight in weights)
-    if lhs * rhs_den == rhs * lhs_den:
+    rhs, rhs_den = _series_combination(stuffle(k, k2), bound, L)
+    if lhs * rhs_den == sum(rhs) * lhs_den:
         return Report(True, None, bound)
     return Report(False, bound, bound)
 

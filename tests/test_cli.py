@@ -360,6 +360,17 @@ def test_verify_order_zero_is_a_usage_error(capsys):
     assert err == "error: truncation order must be >= 1, got 0\n"
 
 
+def test_verify_order_cap(capsys):
+    cap = cli.MAX_ORDER
+    code, out, err = run_cli(capsys, "verify", "--cases", "0", "--order", str(cap))
+    assert (code, err) == (0, "")
+    assert out == "".join(f"{suite}: 0/0 pass\n" for suite in cli.SUITES)
+    # above the cap no case runs: not one suite line is printed
+    code, out, err = run_cli(capsys, "verify", "--order", str(cap + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: --order must be <= {cap}, got {cap + 1}\n"
+
+
 # FAIL lines of `verify --cases 3 --seed 0` with every check failing: the
 # corpus each seed draws and the labels it prints
 FORCED_FAILURES_SEED_0 = """\

@@ -335,6 +335,47 @@ def test_combination_series_matches_fraction_reference(k):
         assert list(got) == reference_combination(combo, SERIES_ORDER)
 
 
+def reference_harmonic_combination(combo: IndexSum, bound: int) -> Fraction:
+    return sum((c * reference_harmonic(i, bound) for i, c in combo), Fraction(0))
+
+
+# one full index a suffix of the others, the empty index beside deep ones
+SHARED_SUFFIX_COMBOS = [
+    IndexSum({(2, 3): 1, (1, 2, 3): Fraction(-3, 5), (0, 2, 3): 7, (-1, 2, 3): Fraction(2, 9)}),
+    IndexSum({(): Fraction(3, 4), (2,): Fraction(-1, 2), (1, 2): Fraction(5, 3), (-2, 1, 2): 4}),
+]
+
+
+@pytest.mark.parametrize("combo", SHARED_SUFFIX_COMBOS)
+def test_shared_suffix_combination_matches_fraction_reference(combo):
+    got = combination_series(combo, SERIES_ORDER).coeffs
+    assert list(got) == reference_combination(combo, SERIES_ORDER)
+    # the harmonic sum of a combination is the sum of its series coefficients
+    harmonic = sum(combination_series(combo, HARMONIC_BOUND).coeffs, Fraction(0))
+    assert harmonic == reference_harmonic_combination(combo, HARMONIC_BOUND)
+
+
+def test_cancelling_weights_give_the_zero_vector():
+    L = math.lcm(*range(1, SERIES_ORDER + 1))
+    weights = [((2, 3), 5), ((1, 2, 3), -7), ((), 2), ((2, 3), -5), ((1, 2, 3), 7), ((), -2)]
+    assert series._series_dp(weights, SERIES_ORDER, L) == [0] * (SERIES_ORDER + 1)
+    assert series._series_dp([], SERIES_ORDER, L) == [0] * (SERIES_ORDER + 1)
+    # cancelling in value only: an index minus its positive reduction
+    k = (6, -4, 5)
+    assert set(combination_series(pi_plus(k) - IndexSum({k: 1}), SERIES_ORDER).coeffs) == {0}
+
+
+def test_verify_caches_only_the_factors_of_each_check(capsys):
+    from mzvint import clear_caches
+    from mzvint.cli import main
+
+    clear_caches()
+    assert main(["verify", "--suite", "shuffle", "--cases", "5"]) == 0
+    assert capsys.readouterr().out == "shuffle: 5/5 pass\n"
+    # two factors per case; the shuffle expansions leave no entry
+    assert series._mpl_cached.cache_info().currsize <= 10
+
+
 def _drop_term(position: int):
     def drop(expansion: IndexSum) -> IndexSum:
         terms = expansion.terms()
