@@ -171,6 +171,9 @@ def _sample_index(rng: random.Random, max_depth: int, lo: int, hi: int) -> Index
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.cases < 0:
         raise ValueError(f"--cases must be >= 0, got {args.cases}")
+    # up front: a run with no series case (--cases 0, or a product suite) never checks it
+    if args.order is not None and args.order < 1:
+        raise ValueError(f"truncation order must be >= 1, got {args.order}")
     if args.order is not None and args.order > MAX_ORDER:
         raise ValueError(f"--order must be <= {MAX_ORDER}, got {args.order}")
     any_failed = False

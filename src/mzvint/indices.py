@@ -283,18 +283,25 @@ class IndexSum:
         return f"IndexSum<{self.pretty()}>"
 
 
+@memo
+def _index_tail(index: Index) -> str:
+    return ',"index":[' + ",".join(map(str, index)) + "]}"
+
+
 def terms_json(*sums: IndexSum) -> list[str]:
     """The ``{"terms":[{"coeff":"p/q","index":[k1,...]},...]}`` text of each sum in
-    canonical order, from one sort of their joint support and one text per index."""
-    order = sorted(set().union(*(s._nums for s in sums)), key=lambda index: (len(index), index))
-    tails = [(index, ',"index":[' + ",".join(map(str, index)) + "]}") for index in order]
+    canonical order, from one sort of their joint support (by length, stable
+    over the lexicographic order: no key function), the memoized ``"index"``
+    text of each index and one ``"coeff"`` text per distinct numerator of a sum."""
+    order = sorted(sorted(set().union(*(s._nums for s in sums))), key=len)
+    tails = [(index, _index_tail(index)) for index in order]
     texts = []
     for s in sums:
         den, get = s._den, s._nums.get
-        texts.append('{"terms":[' + ",".join(
-            f'{{"coeff":"{num if den == 1 else _ratio_text(num, den)}"{tail}'
-            for index, tail in tails if (num := get(index)) is not None
-        ) + "]}")
+        heads = {num: f'{{"coeff":"{num if den == 1 else _ratio_text(num, den)}"' for num in set(s._nums.values())}
+        texts.append('{"terms":[' + ",".join([
+            heads[num] + tail for index, tail in tails if (num := get(index)) is not None
+        ]) + "]}")
     return texts
 
 

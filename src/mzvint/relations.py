@@ -76,7 +76,7 @@ class Relation:
 
 def _check_positive_admissible(shuffle_expansion: IndexSum, stuffle_expansion: IndexSum) -> None:
     # positive: entries >= 1, so admissible iff the last is >= 2; () is vacuously both
-    for index in shuffle_expansion.support() | stuffle_expansion.support():
+    for index in shuffle_expansion._nums.keys() | stuffle_expansion._nums.keys():
         if index and (index[-1] < 2 or min(index) < 1):
             what = "shuffle" if shuffle_expansion.coefficient(index) else "stuffle"
             raise RuntimeError(

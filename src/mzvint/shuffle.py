@@ -22,21 +22,24 @@ The recursion applies, in fixed priority order:
 
 The quotient by the words that do not end in y never has to act: both
 factors end in y, at least one is not empty, and every rule edits only the
-first block, so every term ends in y (``index_from_word`` raises on any
-other word). Arguments are put in a canonical order first (the smaller
-blocks tuple on the left; the output depends on this order), which makes
-the procedure symmetric and lets the memo table use an unordered pair as
-its key. On random pairs the recursion has never gone more than one level
-deeper than the two words have letters (the tests check this), so it needs
-no budget of its own; ``MAX_LETTERS`` in ``mzvint.cli`` keeps command-line
-input below CPython's frame limit.
+first block, so every term ends in y and is kept as its index. Arguments
+are put in a canonical order first (the smaller blocks tuple on the left;
+the output depends on this order), which makes the procedure symmetric and
+lets the memo table use an unordered pair as its key. On random pairs the
+recursion has never gone more than one level deeper than the two words
+have letters (the tests check this), so it needs no budget of its own;
+``MAX_LETTERS`` in ``mzvint.cli`` keeps command-line input below CPython's
+frame limit.
 
 The unit rule and the y-rule run as a loop in front of the memo, not as
 levels of the recursion: the value of a pair with a leading y is its
 child's value with a zero block in front, so only the pairs that the d- and
-j-rules open are memoized, and the zero blocks are put back as each term is
-built. A memo entry is two parallel tuples, the terms' blocks and their
-integer coefficients.
+j-rules open are memoized, and the zero blocks are put back, as zero
+entries at the end of the index, as each term is built. A memo entry is two
+parallel tuples, the indices of the terms' words and their integer
+coefficients; the keys and the rules stay on words. So no term is converted
+back from its word, and a product with no leading y takes the entry's own
+tuples as its keys.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ __all__ = ["Blocks", "EMPTY_WORD", "word_from_index", "index_from_word", "shuffl
 
 Blocks = tuple[int, ...]
 EMPTY_WORD: Blocks = (0,)
-# the terms' blocks and their integer coefficients, as two parallel tuples
-Entry = tuple[tuple[Blocks, ...], tuple[int, ...]]
+# the terms' indices and their integer coefficients, as two parallel tuples
+Entry = tuple[tuple[Index, ...], tuple[int, ...]]
 
 
 def word_from_index(k: Index) -> Blocks:
@@ -75,15 +78,16 @@ MEMO_TABLES.append(_MEMO)
 
 
 def _expand(bu: Blocks, bv: Blocks) -> tuple[Blocks, Entry]:
-    """``(prefix, entry)`` with bu # bv = sum of prefix + blocks times coeff
-    over ``zip(*entry)``: ``prefix`` holds the zero blocks of the leading y
-    letters, pulled out by the unit rule and the y-rule in a loop."""
+    """``(prefix, entry)`` with bu # bv = sum of coeff times the word
+    prefix + ``word_from_index(index)`` over ``zip(*entry)``: ``prefix``
+    holds the zero blocks of the leading y letters, pulled out by the unit
+    rule and the y-rule in a loop."""
     prefix: Blocks = ()
     while True:
         if bu == EMPTY_WORD:
-            return prefix, ((bv,), (1,))
+            return prefix, ((index_from_word(bv),), (1,))
         if bv == EMPTY_WORD:
-            return prefix, ((bu,), (1,))
+            return prefix, ((index_from_word(bu),), (1,))
         if bv < bu:
             bu, bv = bv, bu
         if bu[0] == 0:
@@ -98,7 +102,7 @@ def _expand(bu: Blocks, bv: Blocks) -> tuple[Blocks, Entry]:
     if cached is not None:
         return prefix, cached
 
-    out: dict[Blocks, int] = {}
+    out: dict[Index, int] = {}
     hu, hv = bu[0], bv[0]
     # The product is symmetric, so each rule that applies to either factor
     # first moves that factor to the left.
@@ -120,22 +124,26 @@ def _expand(bu: Blocks, bv: Blocks) -> tuple[Blocks, Entry]:
     return prefix, entry
 
 
-def _add_shifted(out: dict[Blocks, int], prefix: Blocks, entry: Entry, shift: int, scale: int) -> None:
-    """Add scale times the word j^shift (prefix + blocks) of each term of an
-    ``_expand`` result to ``out``; a negative shift is a run of d."""
+def _add_shifted(out: dict[Index, int], prefix: Blocks, entry: Entry, shift: int, scale: int) -> None:
+    """Add scale times the index of the word j^shift (prefix + word) of each
+    term of an ``_expand`` result to ``out``; a negative shift is a run of d.
+    j^shift raises the first block: the index's last entry, or under a prefix
+    of y letters the last of the zero entries that the prefix appends."""
     if prefix:
-        head = (prefix[0] + shift,) + prefix[1:]
-        for blocks, coeff in zip(*entry):
-            add_term(out, head + blocks, scale * coeff)
+        tail = prefix[1:] + (shift,)
+        for index, coeff in zip(*entry):
+            add_term(out, index + tail, scale * coeff)
     else:
-        for blocks, coeff in zip(*entry):
-            add_term(out, (blocks[0] + shift,) + blocks[1:], scale * coeff)
+        for index, coeff in zip(*entry):
+            add_term(out, index[:-1] + (index[-1] + shift,), scale * coeff)
 
 
 def _pair(k: Index, k2: Index) -> Iterator[tuple[Index, int]]:
     # lazy: bilinear gathers all pairs before summing, so a list would copy every memo entry
     prefix, entry = _expand(word_from_index(k), word_from_index(k2))
-    return ((index_from_word(prefix + blocks), coeff) for blocks, coeff in zip(*entry))
+    if not prefix:
+        return zip(*entry)
+    return ((index + prefix, coeff) for index, coeff in zip(*entry))
 
 
 def shuffle(a: IndexSumLike, b: IndexSumLike) -> IndexSum:

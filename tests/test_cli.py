@@ -371,6 +371,18 @@ def test_verify_order_cap(capsys):
     assert err == f"error: --order must be <= {cap}, got {cap + 1}\n"
 
 
+@pytest.mark.parametrize("order", [0, -7, cli.MAX_ORDER + 1])
+@pytest.mark.parametrize("scope", [("--cases", "0"), ("--suite", "homomorphism", "--cases", "1")])
+def test_verify_order_bounds_without_a_series_case(capsys, order, scope):
+    # no series check runs here, so only the up-front check can refuse the order
+    code, out, err = run_cli(capsys, "verify", *scope, "--order", str(order))
+    assert (code, out) == (2, "")
+    if order < 1:
+        assert err == f"error: truncation order must be >= 1, got {order}\n"
+    else:
+        assert err == f"error: --order must be <= {cli.MAX_ORDER}, got {order}\n"
+
+
 # FAIL lines of `verify --cases 3 --seed 0` with every check failing: the
 # corpus each seed draws and the labels it prints
 FORCED_FAILURES_SEED_0 = """\

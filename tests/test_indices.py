@@ -220,6 +220,23 @@ def test_json_round_trip_and_shape():
     }
 
 
+def test_terms_json_same_text_with_the_index_table_cold_or_warm():
+    from mzvint import clear_caches
+
+    s = IndexSum([((), Fraction(1, 6)), ((-2, 3), Fraction(-5, 6)), ((4, -1, 0), Fraction(3, 2)), ((1,), -1)])
+    t = IndexSum([((-2, 3), 2), ((7,), -1), ((), Fraction(1, 6))])
+    sums = (s, t, s - t)
+    assert s._den == 6 and t._den == 6
+    reference = [
+        json.dumps({"terms": [{"coeff": str(c), "index": list(k)} for k, c in x.terms()]}, separators=(",", ":"))
+        for x in sums
+    ]
+    clear_caches()
+    cold = terms_json(*sums)
+    assert cold == terms_json(*sums) == reference
+    clear_caches()
+
+
 def test_pretty_rendering():
     s = IndexSum([((2,), 1), ((3,), -1)])
     assert s.pretty() == "1·(2) - 1·(3)"

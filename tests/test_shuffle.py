@@ -395,6 +395,22 @@ def test_kernel_matches_reference_term_order():
         assert g == e, pair
 
 
+def test_product_keys_are_the_memo_terms():
+    # a pair with no leading y reads its terms off the top memo entry uncopied
+    module = importlib.import_module("mzvint.shuffle")
+    for k, k2 in (SEED_65_PAIR, ((2, 3), (1, 2))):
+        clear_caches()
+        product = shuffle(k, k2)
+        indices, _ = module._MEMO[tuple(sorted((word_from_index(k), word_from_index(k2))))]
+        by_id = {id(index): index for index in indices}
+        assert product and all(by_id.get(id(index)) is index for index in product._nums), (k, k2)
+        for indices, _ in module._MEMO.values():
+            for index in indices:
+                assert type(index) is tuple and index != (), index
+                assert all(type(entry) is int for entry in index), index
+    clear_caches()
+
+
 def test_memo_stores_no_y_node_and_parallel_tuples():
     module = importlib.import_module("mzvint.shuffle")
     clear_caches()
