@@ -7,9 +7,10 @@ any verification check fails, on an internal error, or when stdout is
 closed (by its reader, or never open; silently, no traceback), 2 on usage
 errors, among them an index over ``MAX_ENTRY`` or ``MAX_LETTERS``.
 
-``main`` builds only the subparser its first word names, since building all
-seven cost most of a small command's time; output is as with all seven
-(``build_parser`` says how the top usage line is kept).
+``main`` reads a plain, well-formed argv straight from the ``COMMANDS``
+table into the Namespace argparse would build, since building the parser
+cost most of a small command's time; help, errors and every other argv go
+to the full argparse parser, so their output is argparse's own.
 """
 
 from __future__ import annotations
@@ -238,37 +239,90 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``mzvint`` parser, with only the subparser of ``command`` when it
-    names one, else with all of them (for help and for errors that list them).
-
-    Building every subparser took most of a small command's time. A
-    one-command parser takes the full choice list as its ``metavar``, so its
-    top usage line is unchanged; the full parser does not, since there it
-    would rename ``argument command:`` in its invalid-choice and
-    missing-command errors.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The ``mzvint`` parser with all seven subcommands."""
     parser = argparse.ArgumentParser(
         prog="mzvint",
         description="Exact double-shuffle algebra for multiple zeta values of integer indices. "
         f"Indices must satisfy |k_i| <= {MAX_ENTRY} and depth + sum |k_i| <= {MAX_LETTERS}.",
     )
-    only = command in COMMANDS
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar="{%s}" % ",".join(COMMANDS) if only else None
-    )
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, defaults, arguments) in COMMANDS.items():
-        if not only or name == command:
-            p = sub.add_parser(name, help=help_text)
-            for flag, keywords in arguments:
-                p.add_argument(flag, **keywords)
-            p.set_defaults(**defaults)
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(**defaults)
     return parser
 
 
+# the actions and other add_argument keywords the reader knows, for a
+# positional and for an option; any other leaves the command to argparse
+_KNOWN = {False: ({None, "append"}, {"help", "metavar"}),
+          True: ({None, "store_true"}, {"help", "metavar", "type", "choices", "default"})}
+
+
+def _read_argv(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The Namespace ``build_parser().parse_args(argv)`` returns, read from
+    ``COMMANDS`` without building a parser: a command word, then its exact
+    option strings, each with its value, among as many positionals as it
+    takes. None for anything else, which argparse answers: any other token
+    starting with ``-`` (``-h``, ``--``, ``--pre``, ``--seed=3``, ``-1``), a
+    missing option value or one that fails its type or choices, a wrong
+    number of positionals.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, defaults, arguments = COMMANDS[argv[0]]
+    values: dict = {"command": argv[0], **defaults}
+    positionals, options = [], {}
+    for flag, keywords in arguments:
+        actions, known = _KNOWN[flag.startswith("-")]
+        action = keywords.get("action")
+        if action not in actions or not keywords.keys() - {"action"} <= known:
+            return None
+        if flag.startswith("-"):
+            dest = flag.lstrip("-").replace("-", "_")
+            options[flag] = dest, keywords
+            values[dest] = keywords.get("default", False if action == "store_true" else None)
+        else:
+            positionals.append((flag, action))
+    args = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            args.append(token)
+            continue
+        if token not in options:
+            return None
+        dest, keywords = options[token]
+        if keywords.get("action") == "store_true":
+            values[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):  # a missing value, or one argparse reads as an option
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if value not in keywords.get("choices", [value]):
+            return None
+        values[dest] = value
+    if len(args) != len(positionals):
+        return None
+    for (name, action), arg in zip(positionals, args):
+        values[name] = [*values.get(name, ()), arg] if action == "append" else arg
+    return argparse.Namespace(**values)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command (``argv`` defaults to ``sys.argv[1:]``) and return its
+    exit code. A well-formed argv is read from ``COMMANDS``; any other goes
+    to the full parser, which prints help or a usage error and exits."""
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     if sys.stdout is None:  # fd 1 was never open: the output could not go out
         return 1
     try:

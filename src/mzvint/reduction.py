@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from math import comb, lcm
 
-from .indices import Index, IndexSum, IndexSumLike, integer_form, integer_sum, memo
+from .indices import Index, IndexSum, IndexSumLike, format_index, integer_form, integer_sum, memo
 from .rationals import bernoulli
 
 __all__ = ["reduce_step", "pi_plus"]
@@ -67,7 +67,7 @@ def reduce_step(k: Index) -> IndexSum:
     m = _reduction_position(k)
     if m is None:
         raise ValueError(
-            f"index {k} has no non-positive entry before its last position; nothing to reduce"
+            f"index {format_index(k)} has no non-positive entry before its last position; nothing to reduce"
         )
     return IndexSum._over(*integer_sum(((1, *_reduce_at(k, m)),)))
 

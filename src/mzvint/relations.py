@@ -27,6 +27,7 @@ from .indices import (
     Index,
     IndexSum,
     IndexSumLike,
+    format_index,
     is_admissible,
     m_index,
     m_of_sum,
@@ -54,7 +55,7 @@ def _require_admissible(k: Index) -> Index:
     k = tuple(k)
     if not is_admissible(k):
         raise AdmissibilityError(
-            f"index {k} is not admissible; zeta symbols are only defined for admissible indices"
+            f"index {format_index(k)} is not admissible; zeta symbols are only defined for admissible indices"
         )
     return k
 
@@ -80,7 +81,7 @@ def _check_positive_admissible(shuffle_expansion: IndexSum, stuffle_expansion: I
         if index and (index[-1] < 2 or min(index) < 1):
             what = "shuffle" if shuffle_expansion.coefficient(index) else "stuffle"
             raise RuntimeError(
-                f"{what} expansion contains the non positive-admissible index {index}; "
+                f"{what} expansion contains the non positive-admissible index {format_index(index)}; "
                 "this contradicts the closure guarantees and indicates a bug"
             )
 

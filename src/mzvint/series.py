@@ -39,7 +39,7 @@ from itertools import accumulate
 from operator import add, mul
 from typing import Sequence
 
-from .indices import Index, IndexSum, AdmissibilityError, integer_form, is_admissible, m_index, memo
+from .indices import Index, IndexSum, AdmissibilityError, format_index, integer_form, is_admissible, m_index, memo
 from .reduction import pi_plus
 from .shuffle import shuffle
 from .stuffle import stuffle
@@ -259,7 +259,7 @@ def zeta_real_approx(k: Index, terms: int) -> tuple[float, float]:
     tail-size hint. No convergence acceleration is applied."""
     k = tuple(k)
     if not is_admissible(k):
-        raise AdmissibilityError(f"real evaluation requires an admissible index, got {k}")
+        raise AdmissibilityError(f"real evaluation requires an admissible index, got {format_index(k)}")
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
     return _zeta_real_cached(k, terms)

@@ -102,7 +102,6 @@ def _expand(bu: Blocks, bv: Blocks) -> tuple[Blocks, Entry]:
     if cached is not None:
         return prefix, cached
 
-    out: dict[Index, int] = {}
     hu, hv = bu[0], bv[0]
     # The product is symmetric, so each rule that applies to either factor
     # first moves that factor to the left.
@@ -111,15 +110,24 @@ def _expand(bu: Blocks, bv: Blocks) -> tuple[Blocks, Entry]:
             bu, bv = bv, bu
         n = -bu[0]
         rest = (0,) + bu[1:]
+        # rest starts with y, so every child has a prefix, and every term of
+        # child t ends in the entry t - n: no two children share an index,
+        # a child's indices are distinct and no coefficient is zero, so the
+        # children's terms are concatenated, not summed
+        keys: list[Index] = []
+        coeffs: list[int] = []
         for t in range(n + 1):
-            coeff = comb(n, t) if t % 2 == 0 else -comb(n, t)
-            shifted = (bv[0] - t,) + bv[1:]
-            _add_shifted(out, *_expand(rest, shifted), t - n, coeff)
+            scale = comb(n, t) if t % 2 == 0 else -comb(n, t)
+            child_prefix, (indices, child_coeffs) = _expand(rest, (bv[0] - t,) + bv[1:])
+            tail = child_prefix[1:] + (t - n,)
+            keys += [index + tail for index in indices]
+            coeffs += [scale * c for c in child_coeffs]
+        entry = (tuple(keys), tuple(coeffs))
     else:  # both factors start with j
+        out: dict[Index, int] = {}
         _add_shifted(out, *_expand((hu - 1,) + bu[1:], bv), 1, 1)
         _add_shifted(out, *_expand(bu, (hv - 1,) + bv[1:]), 1, 1)
-
-    entry = (tuple(out), tuple(out.values()))
+        entry = (tuple(out), tuple(out.values()))
     _MEMO[key] = entry
     return prefix, entry
 

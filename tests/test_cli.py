@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -10,6 +9,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mzvint.cli as cli
 from mzvint.cli import MAX_ENTRY, MAX_EVAL_TERMS, MAX_LETTERS, IndexSyntaxError, main, parse_index
@@ -201,9 +201,9 @@ PARSER_CORPUS = (
 )
 
 
-def _outcome(capsys, argv):
+def _outcome(capsys, argv, run=main):
     try:
-        code = ("return", main(list(argv)))
+        code = ("return", run(list(argv)))
     except SystemExit as exc:
         code = ("exit", exc.code)
     captured = capsys.readouterr()
@@ -212,35 +212,105 @@ def _outcome(capsys, argv):
 
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
 def test_one_command_parser_prints_as_the_full_parser(monkeypatch, capsys, columns):
+    # help and usage errors: the reader leaves every such argv to argparse,
+    # and main prints exactly what the full parser prints
     monkeypatch.setenv("COLUMNS", columns)
+    assert [argv for argv in PARSER_CORPUS if cli._read_argv(list(argv)) is not None] == []
     got = {argv: _outcome(capsys, argv) for argv in PARSER_CORPUS}
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
-    assert got == {argv: _outcome(capsys, argv) for argv in PARSER_CORPUS}
+    parse = cli.build_parser().parse_args
+    assert got == {argv: _outcome(capsys, argv, parse) for argv in PARSER_CORPUS}
     # the full parser has no metavar: its errors call the command by its dest
     assert got[()][2].endswith("error: the following arguments are required: command\n")
     assert "error: argument command: invalid choice: 'bogus'" in got[("bogus",)][2]
 
 
-def _subcommands(parser):
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return list(sub.choices)
+# one argv per command that uses every option the command has, and the
+# argv shapes the benchmark's cold_cli and verify_suites workloads issue
+READER_CORPUS = (
+    ("m-index", "(0,3)"),
+    ("pi-plus", "(-1,4)", "--pretty"),
+    ("shuffle", "--pretty", "(2)", "(3)"),
+    ("stuffle", "(1,2)", "--pretty", "(2,1)"),
+    ("relation", "(2)", "(3)", "--pretty"),
+    ("verify", "--suite", "reduction", "--seed", "3", "--cases", "1", "--order", "8"),
+    ("eval", "(2)", "--terms", "20"),
+    ("m-index", "(-3,0,9)"),
+    ("stuffle", "(1,2,3)", "(2,1,3)"),
+    ("pi-plus", "(1,-3,2)"),
+    ("shuffle", "(-2,1,1)", "(2,3,1)"),
+    ("verify", "--suite", "all", "--cases", "1", "--seed", "3"),
+)
 
 
-def test_build_parser_builds_only_the_named_subcommand():
-    assert _subcommands(cli.build_parser("m-index")) == ["m-index"]
-    everything = ["m-index", "pi-plus", "shuffle", "stuffle", "relation", "verify", "eval"]
-    for command in (None, "bogus", "-h"):
-        assert _subcommands(cli.build_parser(command)) == everything
+def test_reader_builds_no_parser_for_a_well_formed_argv(monkeypatch, capsys):
+    assert {argv[0] for argv in READER_CORPUS} == set(cli.COMMANDS)
+    full = cli.build_parser
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(True) or full())
+    for argv in READER_CORPUS:
+        read = cli._read_argv(list(argv))
+        assert read is not None, argv
+        assert vars(read) == vars(full().parse_args(argv))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and out, argv
+    assert built == []
+
+
+INDEX_TEXTS = st.sampled_from(["(1)", "(0,3)", "()", "(2,-1,3)", "(−1,4)", "", " 7", "x", "(1"])
+TOKENS = st.one_of(
+    INDEX_TEXTS,
+    st.sampled_from(["1.5", "-1", "0x10", "1_0", "-"]),
+    st.integers(-3, 600).map(str),
+    st.sampled_from(["--pretty", "--suite", "--seed", "--cases", "--order", "--terms", "--seed=4", "--",
+                     "-h", "--help", "--pre", "--s", "--se", "--cas", "-p"]),
+    st.sampled_from([*cli.SUITES, "all", "nope", "Shuffle"]),
+)
+
+
+@st.composite
+def well_formed_argv(draw):
+    """A command word, an index text per positional and some of its options
+    with valid values, options and positionals in any order."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    groups = []
+    for flag, keywords in cli.COMMANDS[command][2]:
+        if not flag.startswith("-"):
+            groups.append([draw(INDEX_TEXTS)])
+        elif draw(st.booleans()):
+            if keywords.get("action"):
+                groups.append([flag])
+            else:
+                value = st.sampled_from(keywords["choices"]) if "choices" in keywords else st.integers(0, 600)
+                groups.append([flag, str(draw(value))])
+    return [command, *(token for group in draw(st.permutations(groups)) for token in group)]
+
+
+ARGV = st.one_of(
+    well_formed_argv(),
+    # a well-formed argv with one token put in: mostly a near miss
+    st.builds(lambda argv, token, i: argv[:i] + [token] + argv[i:],
+              well_formed_argv(), TOKENS, st.integers(1, 12)),
+    st.builds(lambda command, tokens: [command, *tokens],
+              st.sampled_from([*cli.COMMANDS, "bogus", "--pretty"]), st.lists(TOKENS, max_size=8)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=ARGV)
+def test_reader_reads_as_argparse_or_declines(argv):
+    read = cli._read_argv(argv)
+    if read is not None:
+        # argparse exits on help or an error; where the reader reads, it must not
+        assert vars(read) == vars(cli.build_parser().parse_args(argv))
 
 
 def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
     built = []
     full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or full(command))
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(True) or full())
     monkeypatch.setattr(sys, "argv", ["mzvint", "m-index", "(0,3)"])
     assert main() == 0
-    assert built == ["m-index"]
+    assert built == []
     assert json.loads(capsys.readouterr().out)["m"] == 1
 
 
@@ -296,7 +366,13 @@ def test_eval_command(capsys):
 def test_eval_rejects_non_admissible(capsys):
     code, _, err = run_cli(capsys, "eval", "(1)")
     assert code == 2
-    assert "admissible" in err
+    assert err == "error: real evaluation requires an admissible index, got (1)\n"
+
+
+def test_relation_rejects_non_admissible_in_index_syntax(capsys):
+    assert run_cli(capsys, "relation", "(0,2)", "(2)") == (
+        2, "", "error: index (0,2) is not admissible; zeta symbols are only defined for admissible indices\n"
+    )
 
 
 def test_eval_rejects_terms_above_bound(capsys):
