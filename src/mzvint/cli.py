@@ -255,12 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the actions and other add_argument keywords the reader knows, for a
-# positional and for an option; any other leaves the command to argparse
-_KNOWN = {False: ({None, "append"}, {"help", "metavar"}),
-          True: ({None, "store_true"}, {"help", "metavar", "type", "choices", "default"})}
-
-
 def _read_argv(argv: Sequence[str]) -> argparse.Namespace | None:
     """The Namespace ``build_parser().parse_args(argv)`` returns, read from
     ``COMMANDS`` without building a parser: a command word, then its exact
@@ -276,10 +270,7 @@ def _read_argv(argv: Sequence[str]) -> argparse.Namespace | None:
     values: dict = {"command": argv[0], **defaults}
     positionals, options = [], {}
     for flag, keywords in arguments:
-        actions, known = _KNOWN[flag.startswith("-")]
         action = keywords.get("action")
-        if action not in actions or not keywords.keys() - {"action"} <= known:
-            return None
         if flag.startswith("-"):
             dest = flag.lstrip("-").replace("-", "_")
             options[flag] = dest, keywords

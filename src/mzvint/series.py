@@ -239,24 +239,35 @@ def _zeta_real_cached(k: Index, terms: int) -> tuple[float, float]:
     if not k:
         return 1.0, 0.0
     cur = [1.0] * (terms + 1)
-    for entry in k:
-        nxt = [0.0] * (terms + 1)
-        running = 0.0
-        for n in range(1, terms + 1):
-            running += float(n) ** (-entry) * cur[n - 1]
-            nxt[n] = running
-        cur = nxt
+    try:
+        for entry in k:
+            nxt = [0.0] * (terms + 1)
+            running = 0.0
+            for n in range(1, terms + 1):
+                running += float(n) ** (-entry) * cur[n - 1]
+                nxt[n] = running
+            cur = nxt
+        value = cur[terms]
+    except OverflowError:  # a power n^(-entry) past float range
+        value = math.inf
+    # a sum that overflowed stays inf, or turns NaN where inf meets a zero factor
+    if not math.isfinite(value):
+        raise ValueError(f"the float partial sum of {format_index(k)} over {terms} terms overflows")
     m = m_index(k)
     # Crude tail heuristic: the outermost variable decays like n^{-(m+1)} up
     # to logarithmic factors from the inner sums. Reported, not guaranteed.
-    hint = (1.0 + math.log(terms)) ** (len(k) - 1) / (m * float(terms) ** m)
-    return cur[terms], hint
+    try:
+        hint = (1.0 + math.log(terms)) ** (len(k) - 1) / (m * float(terms) ** m)
+    except OverflowError:  # terms^m is past float range, the quotient need not be
+        hint = math.exp((len(k) - 1) * math.log1p(math.log(terms)) - math.log(m * terms**m))
+    return value, hint
 
 
 def zeta_real_approx(k: Index, terms: int) -> tuple[float, float]:
     """Floating-point partial sum of the defining series with all summation
     variables <= ``terms``, for an admissible index, together with a crude
-    tail-size hint. No convergence acceleration is applied."""
+    tail-size hint. No convergence acceleration is applied; a partial sum past
+    float range raises ``ValueError``."""
     k = tuple(k)
     if not is_admissible(k):
         raise AdmissibilityError(f"real evaluation requires an admissible index, got {format_index(k)}")

@@ -124,26 +124,21 @@ def _expand(bu: Blocks, bv: Blocks) -> tuple[Blocks, Entry]:
             coeffs += [scale * c for c in child_coeffs]
         entry = (tuple(keys), tuple(coeffs))
     else:  # both factors start with j
+        # j raises the first block: the index's last entry, or under a prefix
+        # of y letters the last of the zero entries that the prefix appends
         out: dict[Index, int] = {}
-        _add_shifted(out, *_expand((hu - 1,) + bu[1:], bv), 1, 1)
-        _add_shifted(out, *_expand(bu, (hv - 1,) + bv[1:]), 1, 1)
+        for left, right in (((hu - 1,) + bu[1:], bv), (bu, (hv - 1,) + bv[1:])):
+            child_prefix, (indices, child_coeffs) = _expand(left, right)
+            if child_prefix:
+                tail = child_prefix[1:] + (1,)
+                for index, c in zip(indices, child_coeffs):
+                    add_term(out, index + tail, c)
+            else:
+                for index, c in zip(indices, child_coeffs):
+                    add_term(out, index[:-1] + (index[-1] + 1,), c)
         entry = (tuple(out), tuple(out.values()))
     _MEMO[key] = entry
     return prefix, entry
-
-
-def _add_shifted(out: dict[Index, int], prefix: Blocks, entry: Entry, shift: int, scale: int) -> None:
-    """Add scale times the index of the word j^shift (prefix + word) of each
-    term of an ``_expand`` result to ``out``; a negative shift is a run of d.
-    j^shift raises the first block: the index's last entry, or under a prefix
-    of y letters the last of the zero entries that the prefix appends."""
-    if prefix:
-        tail = prefix[1:] + (shift,)
-        for index, coeff in zip(*entry):
-            add_term(out, index + tail, scale * coeff)
-    else:
-        for index, coeff in zip(*entry):
-            add_term(out, index[:-1] + (index[-1] + shift,), scale * coeff)
 
 
 def _pair(k: Index, k2: Index) -> Iterator[tuple[Index, int]]:

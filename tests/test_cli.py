@@ -211,7 +211,7 @@ def _outcome(capsys, argv, run=main):
 
 
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
-def test_one_command_parser_prints_as_the_full_parser(monkeypatch, capsys, columns):
+def test_declined_argv_prints_as_the_full_parser(monkeypatch, capsys, columns):
     # help and usage errors: the reader leaves every such argv to argparse,
     # and main prints exactly what the full parser prints
     monkeypatch.setenv("COLUMNS", columns)
@@ -304,6 +304,19 @@ def test_reader_reads_as_argparse_or_declines(argv):
         assert vars(read) == vars(cli.build_parser().parse_args(argv))
 
 
+def test_commands_table_holds_only_what_the_reader_reads():
+    # _read_argv takes these actions and keywords from COMMANDS and no other:
+    # it would read an entry with another one (nargs, say) as if it were absent
+    for command, (_, _, arguments) in cli.COMMANDS.items():
+        for flag, keywords in arguments:
+            if flag.startswith("-"):
+                actions, known = {None, "store_true"}, {"action", "help", "metavar", "type", "choices", "default"}
+            else:
+                actions, known = {None, "append"}, {"action", "help", "metavar"}
+            assert keywords.get("action") in actions, (command, flag)
+            assert keywords.keys() <= known, (command, flag)
+
+
 def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
     built = []
     full = cli.build_parser
@@ -382,6 +395,24 @@ def test_eval_rejects_terms_above_bound(capsys):
     assert err == f"error: --terms must be <= {MAX_EVAL_TERMS}, got {MAX_EVAL_TERMS + 1}\n"
     # the README's example stays within the bound
     assert MAX_EVAL_TERMS >= 100000
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "(79)"),  # terms^m of the tail hint is past float range
+    ("eval", "(-55,58)", "--terms", str(MAX_EVAL_TERMS)),  # n^55 is past float range
+    ("eval", "(-51,54)", "--terms", str(MAX_EVAL_TERMS)),  # the sum overflows to inf, then NaN
+], ids=["hint", "term", "sum"])
+def test_eval_where_floats_overflow(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    if argv[1] == "(79)":
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["value"] == 1.0
+        assert 0 < data["error_hint"] < 1e-300  # 1 / (78 * 10000^78)
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"error: the float partial sum of {argv[1]} over {MAX_EVAL_TERMS} terms overflows\n"
+    assert "Traceback" not in err and "NaN" not in out and "Infinity" not in out
 
 
 def test_usage_error_exit_code(capsys):

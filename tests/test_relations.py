@@ -214,7 +214,8 @@ def test_reduce_first_matches_reference_route_on_extreme_pairs(k, k2):
 
 
 def test_positivity_guard_stays_live(monkeypatch):
-    # a product that breaks the closure guarantee: (0, 2) is admissible but not positive
+    # a product that breaks the closure guarantee: (0, 2) is neither positive nor
+    # admissible, m((0,2)) = min(1, 0) = 0, so it is only regularizable
     monkeypatch.setattr(relations, "shuffle", lambda a, b: IndexSum.single((0, 2)))
     with pytest.raises(RuntimeError, match=r"shuffle expansion contains .*\(0,2\);"):
         dsr_relation((2,), (3,))
@@ -223,8 +224,9 @@ def test_positivity_guard_stays_live(monkeypatch):
 @pytest.mark.parametrize("product", ["shuffle", "stuffle"])
 @pytest.mark.parametrize("bad", [(0, 2), (2, 1), (1,), (3, -1, 4), (2, 2, 1)])
 def test_positivity_guard_names_each_bad_index(monkeypatch, product, bad):
-    # (0, 2) and (3, -1, 4) are admissible but not positive; (2, 1) and (1,) are
-    # positive but not admissible; the good term keeps the support mixed
+    # (3, -1, 4) is admissible but not positive; (2, 1) and (1,) are positive but
+    # not admissible; (0, 2) is neither, only regularizable; the good term keeps
+    # the support mixed
     monkeypatch.setattr(relations, product, lambda a, b: IndexSum([((2, 3), 1), (bad, 1)]))
     with pytest.raises(RuntimeError, match=rf"{product} expansion contains .*{re.escape(format_index(bad))};"):
         dsr_relation((2,), (3,))
