@@ -64,9 +64,10 @@ class IndexSyntaxError(ValueError):
 def parse_index(text: str) -> Index:
     """Parse ``"(k1,k2,...)"`` (``"()"`` for the empty index).
 
-    Spaces around entries are allowed and the Unicode minus sign is accepted
-    alongside the ASCII hyphen. Every entry must lie in -MAX_ENTRY..MAX_ENTRY,
-    and the index may have at most MAX_LETTERS letters (depth + sum of |k_i|).
+    An entry is an optional minus sign (the ASCII hyphen or the Unicode
+    minus) followed by ASCII digits, with spaces around it allowed. Every
+    entry must lie in -MAX_ENTRY..MAX_ENTRY, and the index may have at most
+    MAX_LETTERS letters (depth + sum of |k_i|).
     """
     s = text.strip()
     offset = text.index(s) if s else 0
@@ -85,9 +86,12 @@ def parse_index(text: str) -> Index:
         position = chunk_start + (len(chunk) - len(chunk.lstrip()))
         if not token:
             raise IndexSyntaxError("empty entry", position)
+        digits = token[1:] if token[0] in "-−" else token
         try:
+            if not (digits.isascii() and digits.isdigit()):  # int() alone also reads 1_0, +3, ٣, １２
+                raise ValueError(token)
             entry = int(token.replace("−", "-"))
-        except ValueError:
+        except ValueError:  # also a digit string past int()'s length limit
             raise IndexSyntaxError(f"not an integer: {token!r}", position) from None
         if abs(entry) > MAX_ENTRY:
             raise IndexSyntaxError(f"entry {entry} outside -{MAX_ENTRY}..{MAX_ENTRY}", position)

@@ -199,8 +199,7 @@ class IndexSum:
 
     @classmethod
     def single(cls, index: Index, coeff: Fraction | int = 1) -> "IndexSum":
-        c = Fraction(coeff)
-        return cls._over(c.denominator, {tuple(index): c.numerator} if c else {})
+        return cls(((index, coeff),))
 
     @classmethod
     def _over(cls, den: int, nums: dict[Index, int]) -> "IndexSum":
@@ -291,16 +290,15 @@ def _index_tail(index: Index) -> str:
 def terms_json(*sums: IndexSum) -> list[str]:
     """The ``{"terms":[{"coeff":"p/q","index":[k1,...]},...]}`` text of each sum in
     canonical order, from one sort of their joint support (by length, stable
-    over the lexicographic order: no key function), the memoized ``"index"``
-    text of each index and one ``"coeff"`` text per distinct numerator of a sum."""
+    over the lexicographic order: no key function) and the memoized ``"index"``
+    text of each index."""
     order = sorted(sorted(set().union(*(s._nums for s in sums))), key=len)
     tails = [(index, _index_tail(index)) for index in order]
     texts = []
     for s in sums:
         den, get = s._den, s._nums.get
-        heads = {num: f'{{"coeff":"{num if den == 1 else _ratio_text(num, den)}"' for num in set(s._nums.values())}
         texts.append('{"terms":[' + ",".join([
-            heads[num] + tail for index, tail in tails if (num := get(index)) is not None
+            f'{{"coeff":"{_ratio_text(num, den)}"' + tail for index, tail in tails if (num := get(index)) is not None
         ]) + "]}")
     return texts
 

@@ -77,13 +77,13 @@ class Relation:
 
 def _check_positive_admissible(shuffle_expansion: IndexSum, stuffle_expansion: IndexSum) -> None:
     # positive: entries >= 1, so admissible iff the last is >= 2; () is vacuously both
-    for index in shuffle_expansion._nums.keys() | stuffle_expansion._nums.keys():
-        if index and (index[-1] < 2 or min(index) < 1):
-            what = "shuffle" if shuffle_expansion.coefficient(index) else "stuffle"
-            raise RuntimeError(
-                f"{what} expansion contains the non positive-admissible index {format_index(index)}; "
-                "this contradicts the closure guarantees and indicates a bug"
-            )
+    for what, expansion in (("shuffle", shuffle_expansion), ("stuffle", stuffle_expansion)):
+        for index in expansion._nums:
+            if index and (index[-1] < 2 or min(index) < 1):
+                raise RuntimeError(
+                    f"{what} expansion contains the non positive-admissible index {format_index(index)}; "
+                    "this contradicts the closure guarantees and indicates a bug"
+                )
 
 
 def dsr_relation(k: Index, k2: Index) -> Relation:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import add, mul
 from typing import Sequence
 
@@ -236,17 +236,11 @@ def verify_stuffle(k: Index, k2: Index, bound: int) -> Report:
 
 @memo
 def _zeta_real_cached(k: Index, terms: int) -> tuple[float, float]:
-    if not k:
-        return 1.0, 0.0
     cur = [1.0] * (terms + 1)
     try:
         for entry in k:
-            nxt = [0.0] * (terms + 1)
-            running = 0.0
-            for n in range(1, terms + 1):
-                running += float(n) ** (-entry) * cur[n - 1]
-                nxt[n] = running
-            cur = nxt
+            powers = map(pow, map(float, range(1, terms + 1)), repeat(-entry))
+            cur = [0.0, *accumulate(map(mul, powers, cur))]
         value = cur[terms]
     except OverflowError:  # a power n^(-entry) past float range
         value = math.inf

@@ -52,6 +52,14 @@ def test_parse_index_errors_carry_positions():
     assert "x" in str(info.value)
 
 
+@pytest.mark.parametrize("text", ["(1_0)", "(+3)", "(٣)", "(１２)"])
+def test_entries_are_ascii_digits(capsys, text):
+    # int() alone reads each of these; (1_0) is a typo of (1,0), not (10)
+    code, out, err = run_cli(capsys, "m-index", text)
+    assert (code, out) == (2, "")
+    assert err == f"error: not an integer: {text[1:-1]!r} (at position 1)\n"
+
+
 def test_m_index_command(capsys):
     for text, expected in (
         ("(0,3)", {"index": [0, 3], "m": 1, "classification": "admissible"}),

@@ -232,6 +232,14 @@ def test_positivity_guard_names_each_bad_index(monkeypatch, product, bad):
         dsr_relation((2,), (3,))
 
 
+def test_positivity_guard_names_the_shuffle_index_when_both_break(monkeypatch):
+    # each expansion breaks closure at its own index: the shuffle's is named
+    monkeypatch.setattr(relations, "shuffle", lambda a, b: IndexSum([((2, 3), 1), ((2, 1), 1)]))
+    monkeypatch.setattr(relations, "stuffle", lambda a, b: IndexSum([((0, 2), 1), ((2, 3), 1)]))
+    with pytest.raises(RuntimeError, match=r"shuffle expansion contains .*\(2,1\);"):
+        dsr_relation((2,), (3,))
+
+
 def test_positivity_guard_passes_positive_admissible_support(monkeypatch):
     out = IndexSum([((), 1), ((2,), 1), ((1, 1, 2), 1)])
     monkeypatch.setattr(relations, "shuffle", lambda a, b: out)

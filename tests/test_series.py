@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import mzvint.series as series
-from mzvint.indices import AdmissibilityError, IndexSum, terms_json
+from mzvint.indices import AdmissibilityError, IndexSum, is_admissible, terms_json
 from mzvint.reduction import pi_plus
 from mzvint.series import (
     SeriesPoly,
@@ -230,6 +230,42 @@ def test_zeta_real_depth_two_harmonic_tail():
 
 def test_zeta_real_empty_index():
     assert zeta_real_approx((), 10) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("terms", [1, 10**6])
+def test_zeta_real_empty_index_at_either_end_of_the_bound(terms):
+    assert zeta_real_approx((), terms) == (1.0, 0.0)
+
+
+def _zeta_real_loop(k, terms):
+    # reference: the stage loop the evaluator ran before its stages became
+    # one accumulate each, one float operation at a time
+    cur = [1.0] * (terms + 1)
+    for entry in k:
+        nxt = [0.0] * (terms + 1)
+        running = 0.0
+        for n in range(1, terms + 1):
+            running += float(n) ** (-entry) * cur[n - 1]
+            nxt[n] = running
+        cur = nxt
+    return cur[terms]
+
+
+ZETA_REAL_INDICES = [
+    k for r in range(5) for k in itertools.product(range(-3, 6), repeat=r) if is_admissible(k)
+]
+
+
+@pytest.mark.parametrize("terms", [1, 7, 1000])
+def test_zeta_real_bit_identical_to_the_stage_loop(terms):
+    # the same float operations in the same order: equal floats, not close ones
+    for k in ZETA_REAL_INDICES:
+        assert zeta_real_approx(k, terms)[0] == _zeta_real_loop(k, terms), k
+
+
+@pytest.mark.parametrize("k", [(2,), (-1, 4), (1, 2), (1, -1, 4), (3, -2, 2, 4)])
+def test_zeta_real_bit_identical_to_the_stage_loop_at_many_terms(k):
+    assert zeta_real_approx(k, 10**5)[0] == _zeta_real_loop(k, 10**5)
 
 
 def test_zeta_real_rejects_non_admissible():
