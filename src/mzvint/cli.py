@@ -125,7 +125,7 @@ def _cmd_m_index(args: argparse.Namespace) -> int:
 
 def _cmd_sum(args: argparse.Namespace) -> int:
     # look the op up when the command runs, so rebinding it here is seen
-    s = globals()[args.op](*map(parse_index, args.indices))
+    s = globals()[args.op](*(parse_index(getattr(args, name)) for name in args.names))
     print(s.pretty() if args.pretty else terms_json(s)[0])
     return 0
 
@@ -209,14 +209,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 # subcommands in help order: command -> (help, defaults, arguments), where an
 # argument is (name or flag, add_argument keywords); a sum command prints one
-# sum, and its op is the name of a function in this module
+# sum: its op is the name of a function in this module, called on the indices
+# of its positionals in the order of its names
 COMMANDS = {
     "m-index": ("print the regularizability index and classification", {"func": _cmd_m_index},
                 [("index", {"help": "index text, e.g. '(0,3)' or '()'"})]),
     **{
-        command: (help_text, {"func": _cmd_sum, "op": op},
-                  # not nargs: argparse (3.11) fails to report a missing tuple metavar
-                  [*(("indices", {"action": "append", "metavar": name}) for name in names),
+        command: (help_text, {"func": _cmd_sum, "op": op, "names": names},
+                  [*((name, {}) for name in names),
                    ("--pretty", {"action": "store_true", "help": "human-readable sum output"})])
         for command, op, names, help_text in (
             ("pi-plus", "pi_plus", ("index",), "reduce an index to positive-index form"),
@@ -271,42 +271,35 @@ def _read_argv(argv: Sequence[str]) -> argparse.Namespace | None:
     if not argv or argv[0] not in COMMANDS:
         return None
     _, defaults, arguments = COMMANDS[argv[0]]
+    spec = dict(arguments)
     values: dict = {"command": argv[0], **defaults}
-    positionals, options = [], {}
     for flag, keywords in arguments:
-        action = keywords.get("action")
         if flag.startswith("-"):
-            dest = flag.lstrip("-").replace("-", "_")
-            options[flag] = dest, keywords
-            values[dest] = keywords.get("default", False if action == "store_true" else None)
-        else:
-            positionals.append((flag, action))
+            values[flag[2:]] = keywords.get("default", False)
     args = []
     tokens = iter(argv[1:])
     for token in tokens:
         if not token.startswith("-"):
             args.append(token)
-            continue
-        if token not in options:
+        elif token not in spec:
             return None
-        dest, keywords = options[token]
-        if keywords.get("action") == "store_true":
-            values[dest] = True
-            continue
-        value = next(tokens, "-")
-        if value.startswith("-"):  # a missing value, or one argparse reads as an option
-            return None
-        try:
-            value = keywords.get("type", str)(value)
-        except (TypeError, ValueError):
-            return None
-        if value not in keywords.get("choices", [value]):
-            return None
-        values[dest] = value
-    if len(args) != len(positionals):
+        elif spec[token].get("action") == "store_true":
+            values[token[2:]] = True
+        else:
+            value = next(tokens, "-")
+            if value.startswith("-"):  # a missing value, or one argparse reads as an option
+                return None
+            try:
+                value = spec[token].get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in spec[token].get("choices", [value]):
+                return None
+            values[token[2:]] = value
+    names = [flag for flag in spec if not flag.startswith("-")]
+    if len(args) != len(names):
         return None
-    for (name, action), arg in zip(positionals, args):
-        values[name] = [*values.get(name, ()), arg] if action == "append" else arg
+    values.update(zip(names, args))
     return argparse.Namespace(**values)
 
 

@@ -109,17 +109,16 @@ def _expand(bu: Blocks, bv: Blocks) -> tuple[Blocks, Entry]:
         if hu > 0:
             bu, bv = bv, bu
         n = -bu[0]
-        rest = (0,) + bu[1:]
-        # rest starts with y, so every child has a prefix, and every term of
-        # child t ends in the entry t - n: no two children share an index,
-        # a child's indices are distinct and no coefficient is zero, so the
-        # children's terms are concatenated, not summed
+        # d^n y w # v = sum_t (-1)^t C(n,t) d^(n-t) y (w # d^t v): every term
+        # of child t ends in the entry t - n, so no two children share an
+        # index, a child's indices are distinct and no coefficient is zero,
+        # and the children's terms are concatenated, not summed
         keys: list[Index] = []
         coeffs: list[int] = []
         for t in range(n + 1):
             scale = comb(n, t) if t % 2 == 0 else -comb(n, t)
-            child_prefix, (indices, child_coeffs) = _expand(rest, (bv[0] - t,) + bv[1:])
-            tail = child_prefix[1:] + (t - n,)
+            child_prefix, (indices, child_coeffs) = _expand(bu[1:], (bv[0] - t,) + bv[1:])
+            tail = child_prefix + (t - n,)
             keys += [index + tail for index in indices]
             coeffs += [scale * c for c in child_coeffs]
         entry = (tuple(keys), tuple(coeffs))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -313,16 +314,20 @@ def test_reader_reads_as_argparse_or_declines(argv):
 
 
 def test_commands_table_holds_only_what_the_reader_reads():
-    # _read_argv takes these actions and keywords from COMMANDS and no other:
-    # it would read an entry with another one (nargs, say) as if it were absent
-    for command, (_, _, arguments) in cli.COMMANDS.items():
+    # _read_argv reads an option's dest as flag[2:] and its default from the
+    # table (False for store_true), and a positional by its name alone; it
+    # would misread an entry with any other keyword (nargs, dest, say)
+    for command, (_, defaults, arguments) in cli.COMMANDS.items():
         for flag, keywords in arguments:
             if flag.startswith("-"):
-                actions, known = {None, "store_true"}, {"action", "help", "metavar", "type", "choices", "default"}
+                assert re.fullmatch("--[a-z]+", flag), (command, flag)
+                assert keywords.get("action") in {None, "store_true"}, (command, flag)
+                assert ("default" in keywords) == ("action" not in keywords), (command, flag)
+                assert keywords.keys() <= {"action", "help", "type", "choices", "default"}, (command, flag)
             else:
-                actions, known = {None, "append"}, {"action", "help", "metavar"}
-            assert keywords.get("action") in actions, (command, flag)
-            assert keywords.keys() <= known, (command, flag)
+                assert keywords.keys() <= {"help"}, (command, flag)
+        if defaults["func"] is cli._cmd_sum:
+            assert defaults["names"] == tuple(flag for flag, _ in arguments if not flag.startswith("-"))
 
 
 def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
