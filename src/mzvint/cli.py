@@ -126,7 +126,7 @@ def _cmd_m_index(args: argparse.Namespace) -> int:
 def _cmd_sum(args: argparse.Namespace) -> int:
     # look the op up when the command runs, so rebinding it here is seen
     s = globals()[args.op](*(parse_index(getattr(args, name)) for name in args.names))
-    print(s.pretty() if args.pretty else terms_json(s)[0])
+    print(s.pretty() if args.pretty else terms_json(s))
     return 0
 
 

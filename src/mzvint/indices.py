@@ -283,24 +283,28 @@ class IndexSum:
 
 
 @memo
-def _index_tail(index: Index) -> str:
-    return ',"index":[' + ",".join(map(str, index)) + "]}"
+def _index_tail(index: Index) -> tuple[str, bool]:
+    """The ``,"index":[k1,...]}`` JSON text of ``index``, and whether it is
+    positive admissible: entries >= 1, so admissible iff the last is >= 2;
+    () is vacuously both."""
+    text = ',"index":[' + ",".join(map(str, index)) + "]}"
+    return text, not index or (index[-1] >= 2 and min(index) >= 1)
 
 
-def terms_json(*sums: IndexSum) -> list[str]:
-    """The ``{"terms":[{"coeff":"p/q","index":[k1,...]},...]}`` text of each sum in
-    canonical order, from one sort of their joint support (by length, stable
-    over the lexicographic order: no key function) and the memoized ``"index"``
-    text of each index."""
-    order = sorted(sorted(set().union(*(s._nums for s in sums))), key=len)
-    tails = [(index, _index_tail(index)) for index in order]
-    texts = []
-    for s in sums:
-        den, get = s._den, s._nums.get
-        texts.append('{"terms":[' + ",".join([
-            f'{{"coeff":"{_ratio_text(num, den)}"' + tail for index, tail in tails if (num := get(index)) is not None
-        ]) + "]}")
-    return texts
+@memo
+def _coeff_head(num: int, den: int) -> str:
+    """The ``{"coeff":"p/q"`` JSON text of num/den: every JSON coefficient
+    the package writes comes from this table."""
+    return '{"coeff":"' + _ratio_text(num, den) + '"'
+
+
+def terms_json(s: IndexSum) -> str:
+    """The ``{"terms":[{"coeff":"p/q","index":[k1,...]},...]}`` text of ``s`` in
+    canonical order (by length, stable over the lexicographic order: no key
+    function), from the memoized text of each coefficient and index."""
+    den, get = s._den, s._nums.get
+    terms = [_coeff_head(get(index), den) + _index_tail(index)[0] for index in sorted(sorted(s._nums), key=len)]
+    return '{"terms":[' + ",".join(terms) + "]}"
 
 
 def m_of_sum(s: IndexSum) -> int | float:

@@ -9,9 +9,10 @@ certified linear relation among positive admissible zeta values. Because
 the positive reduction is a homomorphism for both products, each pair is
 reduced first and the two positive combinations are then multiplied: the
 result is the reduction of the raw product, without the d-rule recursion
-on the raw pair or the reduction of its often much larger product. The
-JSON line writes all three sums from one sort of the two expansions'
-joint support, which holds the difference's.
+on the raw pair or the reduction of its often much larger product. One
+sorted walk over the two expansions' joint support, which holds the
+difference's, checks closure, forms the difference and writes the JSON text
+of all three sums.
 
 The checks that both products obey the min-formula and that π⁺ is a
 homomorphism for both are here too, shared by ``mzvint verify`` and the tests.
@@ -19,7 +20,8 @@ homomorphism for both are here too, shared by ``mzvint verify`` and the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .indices import (
@@ -27,11 +29,12 @@ from .indices import (
     Index,
     IndexSum,
     IndexSumLike,
+    _coeff_head,
+    _index_tail,
     format_index,
     is_admissible,
     m_index,
     m_of_sum,
-    terms_json,
 )
 from .reduction import pi_plus
 from .series import zeta_real_approx
@@ -64,7 +67,7 @@ def _require_admissible(k: Index) -> Index:
 class Relation:
     """A double-product relation instance for one pair of admissible indices.
 
-    ``difference`` is shuffle minus stuffle expansion; read as
+    ``difference`` is derived: shuffle minus stuffle expansion, read as
     sum(coeff * zeta(index)) = 0 over its terms. Both full expansions are
     kept alongside for auditing and deduplication downstream.
     """
@@ -72,18 +75,44 @@ class Relation:
     pair: tuple[Index, Index]
     shuffle_expansion: IndexSum
     stuffle_expansion: IndexSum
-    difference: IndexSum
+    difference: IndexSum = field(init=False)
+    _json: tuple[str, str, str] = field(init=False, compare=False, repr=False)
+    # the first index outside the positive admissible ones, as (expansion, index):
+    # the shuffle's if it has one, else the stuffle's; None if there is none
+    _breach: tuple[str, Index] | None = field(init=False, compare=False, repr=False)
 
-
-def _check_positive_admissible(shuffle_expansion: IndexSum, stuffle_expansion: IndexSum) -> None:
-    # positive: entries >= 1, so admissible iff the last is >= 2; () is vacuously both
-    for what, expansion in (("shuffle", shuffle_expansion), ("stuffle", stuffle_expansion)):
-        for index in expansion._nums:
-            if index and (index[-1] < 2 or min(index) < 1):
-                raise RuntimeError(
-                    f"{what} expansion contains the non positive-admissible index {format_index(index)}; "
-                    "this contradicts the closure guarantees and indicates a bug"
-                )
+    def __post_init__(self) -> None:
+        # One walk over the two supports in canonical order (the difference's
+        # lies inside their union) reads each index's closure bit, writes its
+        # terms and forms the difference's numerator over lcm of the dens.
+        sh, st = self.shuffle_expansion, self.stuffle_expansion
+        den_sh, den_st = sh._den, st._den
+        den = math.lcm(den_sh, den_st)
+        f_sh, f_st = den // den_sh, den // den_st
+        get_sh, get_st = sh._nums.get, st._nums.get
+        nums: dict[Index, int] = {}
+        texts_sh, texts_st, texts_diff, breaches = [], [], [], []
+        for index in sorted(sorted(sh._nums.keys() | st._nums.keys()), key=len):
+            tail, positive = _index_tail(index)
+            if not positive:
+                breaches.append(("shuffle" if index in sh._nums else "stuffle", index))
+            num = 0
+            if (x := get_sh(index)) is not None:
+                texts_sh.append(_coeff_head(x, den_sh) + tail)
+                num = x * f_sh
+            if (y := get_st(index)) is not None:
+                texts_st.append(_coeff_head(y, den_st) + tail)
+                num -= y * f_st
+            if num:
+                nums[index] = num
+                texts_diff.append(_coeff_head(num, den) + tail)
+        g = math.gcd(den, *nums.values())
+        if g > 1:
+            nums = {index: num // g for index, num in nums.items()}
+        object.__setattr__(self, "difference", IndexSum._over(den // g, nums))
+        texts = ('{"terms":[' + ",".join(t) + "]}" for t in (texts_sh, texts_st, texts_diff))
+        object.__setattr__(self, "_json", tuple(texts))
+        object.__setattr__(self, "_breach", min(breaches, key=lambda b: b[0] == "stuffle", default=None))
 
 
 def dsr_relation(k: Index, k2: Index) -> Relation:
@@ -99,15 +128,14 @@ def dsr_relation(k: Index, k2: Index) -> Relation:
     k = _require_admissible(k)
     k2 = _require_admissible(k2)
     a, b = pi_plus(k), pi_plus(k2)
-    shuffle_expansion = shuffle(a, b)
-    stuffle_expansion = stuffle(a, b)
-    _check_positive_admissible(shuffle_expansion, stuffle_expansion)
-    return Relation(
-        pair=(k, k2),
-        shuffle_expansion=shuffle_expansion,
-        stuffle_expansion=stuffle_expansion,
-        difference=shuffle_expansion - stuffle_expansion,
-    )
+    rel = Relation((k, k2), shuffle(a, b), stuffle(a, b))
+    if rel._breach is not None:
+        what, index = rel._breach
+        raise RuntimeError(
+            f"{what} expansion contains the non positive-admissible index {format_index(index)}; "
+            "this contradicts the closure guarantees and indicates a bug"
+        )
+    return rel
 
 
 @dataclass(frozen=True)
@@ -138,8 +166,7 @@ def verify_relation_numeric(rel: Relation, terms: int, tolerance: float) -> Nume
 def relation_json_line(rel: Relation) -> str:
     """One-line JSON form, stable across runs for identical inputs."""
     left, right = (",".join(map(str, k)) for k in rel.pair)
-    texts = terms_json(rel.shuffle_expansion, rel.stuffle_expansion, rel.difference)
-    return '{"pair":[[%s],[%s]],"shuffle":%s,"stuffle":%s,"difference":%s}' % (left, right, *texts)
+    return '{"pair":[[%s],[%s]],"shuffle":%s,"stuffle":%s,"difference":%s}' % (left, right, *rel._json)
 
 
 # Callers pass the product they look up at call time (``shuffle`` or

@@ -97,8 +97,8 @@ def test_zero_difference_passes_trivially():
         pair=((2,), ()),
         shuffle_expansion=IndexSum.single((2,)),
         stuffle_expansion=IndexSum.single((2,)),
-        difference=IndexSum(),
     )
+    assert rel.difference == IndexSum()
     report = verify_relation_numeric(rel, 10, 1e-12)
     assert report.passed and report.value == 0.0
 
@@ -148,14 +148,16 @@ def test_relation_json_line_matches_json_dumps_on_edge_cases():
     # non-integer coefficients: pi_plus((1, -3, 4)) has denominators, and so
     # does the relation of (-1, 4)
     reduced = pi_plus((1, -3, 4))
-    rel = Relation(((1, -3, 4), ()), reduced, -reduced, reduced + reduced)
+    rel = Relation(((1, -3, 4), ()), reduced, -reduced)
+    assert rel.difference == reduced + reduced
     assert "/" in relation_json_line(rel) and "/" in relation_json_line(dsr_relation((-1, 4), (2,)))
     # coefficients of more than 20 digits, over a common denominator that
     # some numerators share
     big = Fraction(10**25 + 1, 3)
     shuffle_expansion = IndexSum([((2, 3), big), ((5,), Fraction(1, 3)), ((1, 4), 2)])
     stuffle_expansion = IndexSum([((2, 3), -big), ((3, 2), Fraction(10**22, 7))])
-    wide = Relation(((2,), (3,)), shuffle_expansion, stuffle_expansion, shuffle_expansion - stuffle_expansion)
+    wide = Relation(((2,), (3,)), shuffle_expansion, stuffle_expansion)
+    assert wide.difference == shuffle_expansion - stuffle_expansion
     for r in (dsr_relation((), (2,)), rel, dsr_relation((-1, 4), (2,)), wide):
         assert relation_json_line(r) == reference_json_line(r)
     assert str(2 * big) in relation_json_line(wide)
@@ -166,11 +168,15 @@ def reference_relation(k, k2):
     reduce-first ``dsr_relation`` must match term for term."""
     shuffle_expansion = pi_plus(shuffle(k, k2))
     stuffle_expansion = pi_plus(stuffle(k, k2))
-    return Relation((k, k2), shuffle_expansion, stuffle_expansion, shuffle_expansion - stuffle_expansion)
+    rel = Relation((k, k2), shuffle_expansion, stuffle_expansion)
+    assert rel.difference == shuffle_expansion - stuffle_expansion
+    return rel
 
 
 def assert_same_as_reference(k, k2):
     rel, ref = dsr_relation(k, k2), reference_relation(k, k2)
+    # the walk's difference against the one integer_sum makes
+    assert rel.difference == rel.shuffle_expansion - rel.stuffle_expansion, (k, k2)
     assert rel == ref, (k, k2)
     assert relation_json_line(rel) == relation_json_line(ref), (k, k2)
 

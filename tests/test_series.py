@@ -176,6 +176,7 @@ def test_clear_caches_empties_every_memo_table():
                 ("series", "_zeta_real_cached"),
                 ("rationals", "_bernoulli_lower"),
                 ("indices", "_index_tail"),
+                ("indices", "_coeff_head"),
             )
         ]
         return [len(t) if isinstance(t, dict) else t.cache_info().currsize for t in tables]
@@ -186,7 +187,7 @@ def test_clear_caches_empties_every_memo_table():
     zeta_real_approx((2,), 10)
     assert all(sizes())
     clear_caches()
-    assert sizes() == [0] * 8
+    assert sizes() == [0] * 9
 
 
 def test_verify_reduction_examples():

@@ -5,12 +5,14 @@ from __future__ import annotations
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
 import mzvint
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 # the package-level names the benchmark harness calls
 BENCH_NAMES = (
@@ -60,3 +62,15 @@ print(sorted(n for n, c in collections.Counter(names).items() if c > 1 and n.spl
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_readme_lists_each_memo_table_once():
+    from mzvint.indices import MEMO_TABLES
+
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        section = f.read().split("\n## Memo tables\n", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"^- `mzvint\.(\w+)\.(\w+)`", section, flags=re.MULTILINE)
+    assert len(names) == len(MEMO_TABLES)
+    tables = [getattr(importlib.import_module(f"mzvint.{module}"), name) for module, name in names]
+    registered = {id(table) for table in MEMO_TABLES}
+    assert {id(table) for table in tables} == registered, names
