@@ -61,9 +61,10 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty every table in ``MEMO_TABLES``: the shuffle and stuffle pair
-    rules, π⁺ of single indices, the oracles' partial sums, the Bernoulli
-    numbers and the JSON texts of each index and coefficient. No table has
-    a size bound; this is the one control on growth."""
+    rules, π⁺ of single indices, the Bernoulli rows of the elimination
+    step, the oracles' partial sums, the Bernoulli numbers and the JSON
+    texts of each index and coefficient. No table has a size bound; this is
+    the one control on growth."""
     for table in MEMO_TABLES:
         table.clear() if isinstance(table, dict) else table.cache_clear()
 

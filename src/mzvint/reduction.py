@@ -15,18 +15,22 @@ Iterating the step to its fixed point is a linear, idempotent projection:
 every output index has all entries before the last positive, the last entry
 is never rewritten, and the defining power-series identity is preserved
 exactly at every stage (module ``series`` verifies this coefficientwise).
-One step is an integer row over (1 - k_m) * lcm(den B_0..B_{-k_m}). The image
-of each single index is cached as ``(den, ((index, num), ...))`` in lowest
-terms with den > 0; a combination is summed in ints over the lcm of its
-denominators (``indices.integer_sum``) into an ``IndexSum``, which stores
-that same form: no Fraction is built on the way.
+One step is an integer row over (1 - k_m) * lcm(den B_0..B_{-k_m}), whose
+Bernoulli part is cached per n = -k_m. π⁺ of a combination ``(den,
+{index: num})`` is one loop: each round steps the deepest indices with a
+non-positive entry before their last and adds the untouched terms, in one
+``indices.integer_sum``. A step lowers depth by exactly 1, so equal
+intermediates merge or cancel before they are stepped: each distinct index
+is stepped once, with no recursion. π⁺ of each index asked for singly is
+cached in that form, in lowest terms with den > 0, the form an ``IndexSum``
+stores: no Fraction is built on the way.
 """
 
 from __future__ import annotations
 
 from math import comb, lcm
 
-from .indices import Index, IndexSum, IndexSumLike, format_index, integer_form, integer_sum, memo
+from .indices import Index, IndexSum, IndexSumLike, format_index, integer_sum, memo
 from .rationals import bernoulli
 
 __all__ = ["reduce_step", "pi_plus"]
@@ -40,15 +44,22 @@ def _reduction_position(k: Index) -> int | None:
     return None
 
 
+@memo
+def _row(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """``(den, ((i, num), ...))`` with num/den = C(n+1, i) * B^-_i / (n+1),
+    den = (n+1) * lcm(den B_0..B_n), for the i in 0..n with B_i != 0: every
+    odd i > 1 is left out."""
+    bernoulli(n)  # B_n first: its one pass fills B_0..B_n
+    bs = [(i, bernoulli(i)) for i in range(n + 1) if i < 2 or i % 2 == 0]
+    scale = lcm(*(b.denominator for _, b in bs))
+    return (n + 1) * scale, tuple((i, comb(n + 1, i) * b.numerator * (scale // b.denominator)) for i, b in bs)
+
+
 def _reduce_at(k: Index, m: int) -> tuple[int, list[tuple[Index, int]]]:
     # B^+_i = (-1)^i B^-_i, and B^-_i = 0 for odd i > 1, so B^+_i = B^-_i
-    # except B^+_1 = -B^-_1: one lookup per i serves both families
+    # except B^+_1 = -B^-_1: one row entry per i serves both families
     km = k[m - 1]
-    n = -km  # >= 0
-    bs = [bernoulli(i) for i in range(n, -1, -1)][::-1]  # B_n first: its one pass fills B_0..B_n
-    scale = lcm(*(b.denominator for b in bs))
-    nums = [(i, comb(n + 1, i) * b.numerator * (scale // b.denominator)) for i, b in enumerate(bs) if b]
-    den = (n + 1) * scale
+    den, nums = _row(-km)
     row = [(k[: m - 1] + (k[m] + km - 1 + i,) + k[m + 1 :], num) for i, num in nums]
     if km == 0:
         row.append((k[: m - 1] + k[m:], -den))
@@ -72,13 +83,26 @@ def reduce_step(k: Index) -> IndexSum:
     return IndexSum._over(*integer_sum(((1, *_reduce_at(k, m)),)))
 
 
+def _eliminate(den: int, nums: dict[Index, int]) -> tuple[int, dict[Index, int]]:
+    """π⁺ of the combination ``(den, nums)``, in the same form: while some
+    index has a non-positive entry before its last, step the deepest such
+    indices and add the untouched terms, in one ``integer_sum`` per round."""
+    while True:
+        steps = {k: m for k in nums if (m := _reduction_position(k))}
+        if not steps:
+            return den, nums
+        depth = max(map(len, steps))
+        steps = {k: m for k, m in steps.items() if len(k) == depth}
+        parts = [(1, den, [(k, c) for k, c in nums.items() if k not in steps])]
+        for k, m in steps.items():
+            d, row = _reduce_at(k, m)
+            parts.append((nums[k], den * d, row))
+        den, nums = integer_sum(parts)
+
+
 @memo
 def _pi_plus_index(k: Index) -> tuple[int, tuple[tuple[Index, int], ...]]:
-    m = _reduction_position(k)
-    if m is None:
-        return 1, ((k, 1),)
-    den, row = _reduce_at(k, m)
-    den, nums = integer_sum((c, den * d, items) for index, c in row for d, items in (_pi_plus_index(index),))
+    den, nums = _eliminate(1, {k: 1})
     return den, tuple(nums.items())
 
 
@@ -90,6 +114,7 @@ def pi_plus(a: IndexSumLike) -> IndexSum:
     themselves. Admissible input yields admissible positive support;
     regularizable input yields positive support. Idempotent by construction.
     """
-    den, terms = integer_form(a)
-    parts = ((c, den * d, items) for index, c in terms for d, items in (_pi_plus_index(index),))
-    return IndexSum._over(*integer_sum(parts))
+    if isinstance(a, IndexSum):
+        return IndexSum._over(*_eliminate(a._den, a._nums))
+    den, items = _pi_plus_index(tuple(a))
+    return IndexSum._over(den, dict(items))

@@ -115,6 +115,22 @@ def test_pretty_output_pinned(capsys):
     )
 
 
+# stdout of pi-plus on indices with many non-positive entries, which no
+# benchmark digest covers
+@pytest.mark.parametrize(
+    "index, digest",
+    [
+        ("(1,-3,-3,-3,-3,-3,-3,2)", "d2820c2b08a1662d8101821b4509e6d35031fadbd55ce6cc829c0ce2bfe763ef"),
+        ("(3,-9,-9,-9,4)", "0e130837408697a891a0016d6106ba3576b022efa0fcc7c41d21ce07242b9701"),
+        ("(" + "0," * 40 + "2)", "37d5d2f5d341192b5a43a6007c6c47599b206d827d2b305bf471a889ede938ac"),
+    ],
+)
+def test_pi_plus_output_pinned(capsys, index, digest):
+    code, out, err = run_cli(capsys, "pi-plus", index)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "argv, op",
     [

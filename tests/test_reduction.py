@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +19,8 @@ from mzvint.reduction import _pi_plus_index, _reduce_at, _reduction_position, pi
 from mzvint.series import verify_reduction
 from mzvint.shuffle import shuffle
 from mzvint.stuffle import stuffle
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_reduce_step_zero_entry():
@@ -240,20 +245,82 @@ def test_pi_plus_matches_fraction_reference():
 
 
 def test_pi_plus_cache_entries_in_lowest_terms():
-    # every index the reference memo holds is one the engine's memo holds,
-    # since both recurse through the same elimination steps from a cold start
+    # the memo holds exactly the indices asked for singly: not the
+    # intermediates of their elimination, nor the terms of a combination
     clear_caches()
     _REFERENCE_MEMO.clear()
     rng = random.Random(43)
-    for _ in range(100):
-        k = tuple(rng.randint(-6, 6) for _ in range(rng.randint(0, 4)))
+    asked = [tuple(rng.randint(-6, 6) for _ in range(rng.randint(0, 4))) for _ in range(100)]
+    for k in asked:
         assert pi_plus(k) == _reference_pi_plus(k)
+    combined = IndexSum((k, 1) for k in asked)
+    assert pi_plus(combined) == _reference_pi_plus(combined)
     info = _pi_plus_index.cache_info()
-    assert info.currsize == len(_REFERENCE_MEMO)
-    for k, reference in _REFERENCE_MEMO.items():
+    assert info.currsize == len(set(asked)) < len(_REFERENCE_MEMO)
+    for k in set(asked):
         den, terms = _pi_plus_index(k)
         assert isinstance(den, int) and den > 0
         assert all(type(num) is int and num for _, num in terms)
         assert math.gcd(den, *(num for _, num in terms)) == 1
-        assert IndexSum((index, Fraction(num, den)) for index, num in terms) == reference
+        assert IndexSum((index, Fraction(num, den)) for index, num in terms) == _reference_pi_plus(k)
     assert _pi_plus_index.cache_info().misses == info.misses  # every lookup was a hit
+
+
+def test_pi_plus_of_raw_products_matches_fraction_reference():
+    # products of indices with several non-positive entries: many terms of
+    # the product reach the same intermediate indices
+    rng = random.Random(47)
+    clear_caches()
+    _REFERENCE_MEMO.clear()
+    for _ in range(8):
+        k = tuple(rng.randint(-3, 0) for _ in range(rng.randint(2, 3))) + (rng.randint(1, 3),)
+        k2 = tuple(rng.randint(-3, 0) for _ in range(rng.randint(2, 3))) + (rng.randint(1, 3),)
+        for product in (shuffle, stuffle):
+            raw = product(k, k2)
+            assert pi_plus(raw) == _reference_pi_plus(raw), (k, k2, product)
+
+
+def test_pi_plus_cancels_in_mid_loop():
+    # (0,0,4) steps to (-1,4) - (0,4), which the other two terms cancel
+    # before either is stepped; only c * (2,3) is left
+    for c in (Fraction(0), Fraction(3, 7)):
+        a = IndexSum([((0, 0, 4), 1), ((-1, 4), -1), ((0, 4), 1), ((2, 3), c)])
+        assert pi_plus(a) == _reference_pi_plus(a) == IndexSum.single((2, 3), c)
+
+
+def test_pi_plus_steps_each_distinct_index_once(monkeypatch):
+    import mzvint.reduction as reduction
+
+    stepped = []
+
+    def counting(k, m):
+        stepped.append(k)
+        return _reduce_at(k, m)
+
+    monkeypatch.setattr(reduction, "_reduce_at", counting)
+    clear_caches()
+    # terms of several depths: a deeper term's step reaches a shallower term
+    mixed = [IndexSum([((0, 0, 4), 1), ((-1, 4), 1)]), stuffle((-2, -3, 2), (0, -1, 3))]
+    for value in [(1, -3, -3, -3, -3, -3, -3, 2), (0,) * 12 + (2,), *mixed]:
+        stepped.clear()
+        pi_plus(value)
+        assert stepped and len(stepped) == len(set(stepped)), value
+
+
+def test_pi_plus_of_a_single_term_sum_is_pi_plus_of_the_index():
+    for depth in range(0, 4):
+        for k in itertools.product(range(-2, 3), repeat=depth):
+            assert pi_plus(IndexSum.single(k)) == pi_plus(k), k
+
+
+def test_pi_plus_needs_no_recursion():
+    # 117 zeros then 2: a step lowers depth by one, so a recursive reduction
+    # would need a frame per level (about 350 in all)
+    code = (
+        "import sys; from mzvint import pi_plus; sys.setrecursionlimit(150); "
+        "print(len(pi_plus((0,) * 117 + (2,))))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "118"
