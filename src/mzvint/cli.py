@@ -7,10 +7,10 @@ any verification check fails, on an internal error, or when stdout is
 closed (by its reader, or never open; silently, no traceback), 2 on usage
 errors, among them an index over ``MAX_ENTRY`` or ``MAX_LETTERS``.
 
-``main`` reads a plain, well-formed argv straight from the ``COMMANDS``
-table into the Namespace argparse would build, since building the parser
-cost most of a small command's time; help, errors and every other argv go
-to the full argparse parser, so their output is argparse's own.
+``main`` reads a well-formed argv of a command whose options are all
+switches straight from the ``COMMANDS`` table, since building the parser
+cost most of a small command's time; valued options, help, errors and every
+other argv go to the full argparse parser, built once per process.
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ MAX_ORDER = 500
 MAX_ENTRY = 100
 # letters of an index's word (depth + sum of |k_i|), which bound the recursion
 MAX_LETTERS = 120
+# the full parser, built by main on the first argv that _read_argv declines
+_PARSER: argparse.ArgumentParser | None = None
 
 
 class IndexSyntaxError(ValueError):
@@ -261,56 +263,45 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_argv(argv: Sequence[str]) -> argparse.Namespace | None:
     """The Namespace ``build_parser().parse_args(argv)`` returns, read from
-    ``COMMANDS`` without building a parser: a command word, then its exact
-    option strings, each with its value, among as many positionals as it
-    takes. None for anything else, which argparse answers: any other token
-    starting with ``-`` (``-h``, ``--``, ``--pre``, ``--seed=3``, ``-1``), a
-    missing option value or one that fails its type or choices, a wrong
-    number of positionals.
-    """
+    ``COMMANDS`` without a parser when the command's options are all
+    ``store_true`` switches: its exact switches among exactly as many
+    positionals as it takes. None for anything else, which the full parser
+    answers: a command with a valued option, any other token starting with
+    ``-`` (``-h``, ``--``, ``--pre``, ``-1``), a wrong number of positionals."""
     if not argv or argv[0] not in COMMANDS:
         return None
     _, defaults, arguments = COMMANDS[argv[0]]
     spec = dict(arguments)
     values: dict = {"command": argv[0], **defaults}
+    names = []
     for flag, keywords in arguments:
-        if flag.startswith("-"):
-            values[flag[2:]] = keywords.get("default", False)
+        if not flag.startswith("-"):
+            names.append(flag)
+        elif keywords.get("action") != "store_true":  # a valued option
+            return None
+        else:
+            values[flag[2:]] = flag in argv
     args = []
-    tokens = iter(argv[1:])
-    for token in tokens:
+    for token in argv[1:]:
         if not token.startswith("-"):
             args.append(token)
         elif token not in spec:
             return None
-        elif spec[token].get("action") == "store_true":
-            values[token[2:]] = True
-        else:
-            value = next(tokens, "-")
-            if value.startswith("-"):  # a missing value, or one argparse reads as an option
-                return None
-            try:
-                value = spec[token].get("type", str)(value)
-            except ValueError:
-                return None
-            if value not in spec[token].get("choices", [value]):
-                return None
-            values[token[2:]] = value
-    names = [flag for flag in spec if not flag.startswith("-")]
     if len(args) != len(names):
         return None
-    values.update(zip(names, args))
-    return argparse.Namespace(**values)
+    return argparse.Namespace(**values, **dict(zip(names, args)))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command (``argv`` defaults to ``sys.argv[1:]``) and return its
-    exit code. A well-formed argv is read from ``COMMANDS``; any other goes
-    to the full parser, which prints help or a usage error and exits."""
+    exit code. A switch-only command's well-formed argv is read from
+    ``COMMANDS``; any other goes to the process's one full parser."""
+    global _PARSER
     argv = sys.argv[1:] if argv is None else argv
     args = _read_argv(argv)
     if args is None:
-        args = build_parser().parse_args(argv)
+        _PARSER = _PARSER or build_parser()
+        args = _PARSER.parse_args(argv)
     if sys.stdout is None:  # fd 1 was never open: the output could not go out
         return 1
     try:

@@ -128,13 +128,9 @@ def _expand(bu: Blocks, bv: Blocks) -> tuple[Blocks, Entry]:
         out: dict[Index, int] = {}
         for left, right in (((hu - 1,) + bu[1:], bv), (bu, (hv - 1,) + bv[1:])):
             child_prefix, (indices, child_coeffs) = _expand(left, right)
-            if child_prefix:
-                tail = child_prefix[1:] + (1,)
-                for index, c in zip(indices, child_coeffs):
-                    add_term(out, index + tail, c)
-            else:
-                for index, c in zip(indices, child_coeffs):
-                    add_term(out, index[:-1] + (index[-1] + 1,), c)
+            for index, c in zip(indices, child_coeffs):
+                index += child_prefix
+                add_term(out, index[:-1] + (index[-1] + 1,), c)
         entry = (tuple(out), tuple(out.values()))
     _MEMO[key] = entry
     return prefix, entry

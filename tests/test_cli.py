@@ -249,6 +249,21 @@ def test_declined_argv_prints_as_the_full_parser(monkeypatch, capsys, columns):
     assert "error: argument command: invalid choice: 'bogus'" in got[("bogus",)][2]
 
 
+# commands with an option that takes a value: the reader leaves them to argparse
+VALUED = {command for command, (_, _, arguments) in cli.COMMANDS.items()
+          if any(flag.startswith("-") and keywords.get("action") != "store_true" for flag, keywords in arguments)}
+
+
+def _counting_builds(monkeypatch):
+    """A list that gains an entry at each build of the full parser, which is
+    unbuilt to start with."""
+    full = cli.build_parser
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(True) or full())
+    monkeypatch.setattr(cli, "_PARSER", None)
+    return built
+
+
 # one argv per command that uses every option the command has, and the
 # argv shapes the benchmark's cold_cli and verify_suites workloads issue
 READER_CORPUS = (
@@ -268,17 +283,39 @@ READER_CORPUS = (
 
 
 def test_reader_builds_no_parser_for_a_well_formed_argv(monkeypatch, capsys):
+    # the reader reads the switch-only lines; the verify and eval lines go to
+    # the one full parser, which the first of them builds
     assert {argv[0] for argv in READER_CORPUS} == set(cli.COMMANDS)
+    assert VALUED == {"verify", "eval"}
     full = cli.build_parser
-    built = []
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(True) or full())
+    built = _counting_builds(monkeypatch)
     for argv in READER_CORPUS:
         read = cli._read_argv(list(argv))
-        assert read is not None, argv
-        assert vars(read) == vars(full().parse_args(argv))
+        if argv[0] in VALUED:
+            assert read is None, argv
+        else:
+            assert read is not None, argv
+            assert vars(read) == vars(full().parse_args(argv))
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "") and out, argv
-    assert built == []
+    assert built == [True]
+
+
+def test_declined_argv_build_the_full_parser_once(monkeypatch, capsys):
+    built = _counting_builds(monkeypatch)
+    declined = (("verify", "--cases", "0", "--seed=3"), ("eval", "(2)", "--terms=5"),
+                ("relation", "(2)", "(3)", "--pre"))
+    outputs = {argv: set() for argv in declined}
+    for i in range(20):
+        argv = declined[i % len(declined)]
+        assert cli._read_argv(list(argv)) is None
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and out, argv
+        outputs[argv].add(out)
+    assert built == [True]
+    assert outputs[declined[0]] == {"".join(f"{suite}: 0/0 pass\n" for suite in cli.SUITES)}
+    assert outputs[declined[1]] == {run_cli(capsys, "eval", "(2)", "--terms", "5")[1]}
+    assert outputs[declined[2]] == {run_cli(capsys, "relation", "(2)", "(3)", "--pretty")[1]}
 
 
 INDEX_TEXTS = st.sampled_from(["(1)", "(0,3)", "()", "(2,-1,3)", "(−1,4)", "", " 7", "x", "(1"])
@@ -330,26 +367,28 @@ def test_reader_reads_as_argparse_or_declines(argv):
 
 
 def test_commands_table_holds_only_what_the_reader_reads():
-    # _read_argv reads an option's dest as flag[2:] and its default from the
-    # table (False for store_true), and a positional by its name alone; it
-    # would misread an entry with any other keyword (nargs, dest, say)
+    # _read_argv declines every command with a valued option; of the others
+    # it reads a switch's dest as flag[2:], False unless given, and a
+    # positional by its name alone, so it would misread an entry with any
+    # other keyword (nargs, dest, default, say)
     for command, (_, defaults, arguments) in cli.COMMANDS.items():
-        for flag, keywords in arguments:
-            if flag.startswith("-"):
-                assert re.fullmatch("--[a-z]+", flag), (command, flag)
-                assert keywords.get("action") in {None, "store_true"}, (command, flag)
-                assert ("default" in keywords) == ("action" not in keywords), (command, flag)
-                assert keywords.keys() <= {"action", "help", "type", "choices", "default"}, (command, flag)
-            else:
-                assert keywords.keys() <= {"help"}, (command, flag)
+        positionals = ["(1)" for flag, _ in arguments if not flag.startswith("-")]
+        if command in VALUED:
+            assert cli._read_argv([command, *positionals]) is None, command
+        else:
+            assert cli._read_argv([command, *positionals]) is not None, command
+            for flag, keywords in arguments:
+                if flag.startswith("-"):
+                    assert re.fullmatch("--[a-z]+", flag), (command, flag)
+                    assert keywords.keys() <= {"action", "help"}, (command, flag)
+                else:
+                    assert keywords.keys() <= {"help"}, (command, flag)
         if defaults["func"] is cli._cmd_sum:
             assert defaults["names"] == tuple(flag for flag, _ in arguments if not flag.startswith("-"))
 
 
 def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
-    built = []
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(True) or full())
+    built = _counting_builds(monkeypatch)
     monkeypatch.setattr(sys, "argv", ["mzvint", "m-index", "(0,3)"])
     assert main() == 0
     assert built == []
